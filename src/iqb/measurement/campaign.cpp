@@ -66,20 +66,21 @@ util::Result<TestObservation> run_one_session(
   };
   env.rng = session_rng.fork(103);
 
+  // The session ends at the tool's result: the callback stops the
+  // simulator, so cross traffic is not simulated past the answer. A
+  // tool that fails before run() starts makes run() return at once.
+  // The world is then torn down with events and packets still pending,
+  // which is safe because the simulator never runs again.
   bool completed = false;
   util::Result<TestObservation> outcome =
       util::make_error(util::ErrorCode::kInternal, "session never ran");
-  client.run(env, [&completed, &outcome](
+  client.run(env, [&completed, &outcome, &sim](
                       util::Result<TestObservation> result) {
     completed = true;
     outcome = std::move(result);
+    sim.stop();
   });
   sim.run(config.session_time_limit_s);
-
-  // Stop background sources before the graveyard (and with it the
-  // flows' completion closures) is torn down.
-  if (bg_down) bg_down->stop();
-  if (bg_up) bg_up->stop();
 
   if (!completed) {
     return util::make_error(util::ErrorCode::kInternal,

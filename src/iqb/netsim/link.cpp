@@ -47,60 +47,96 @@ void Link::set_loss_model(std::unique_ptr<LossModel> loss) {
 }
 
 void Link::send(Packet packet, DeliverFn on_deliver, DropFn on_drop) {
+  accept(Pending{std::move(packet), nullptr, 0, std::move(on_deliver),
+                 std::move(on_drop)});
+}
+
+void Link::send(Packet packet, const Path& route, std::size_t hop,
+                DeliverFn on_deliver, DropFn on_drop) {
+  assert(hop < route.size() && route[hop] == this);
+  accept(Pending{std::move(packet), &route, hop, std::move(on_deliver),
+                 std::move(on_drop)});
+}
+
+void Link::accept(Pending&& entry) {
   ++counters_.offered_packets;
-  counters_.offered_bytes += packet.size_bytes;
+  counters_.offered_bytes += entry.packet.size_bytes;
 
   if (config_.loss->should_drop(rng_)) {
     ++counters_.dropped_loss_packets;
-    if (on_drop) on_drop(packet);
+    if (entry.on_drop) entry.on_drop(entry.packet);
     return;
   }
   QueueContext context;
   context.queued_bytes = queued_bytes_;
-  context.packet_bytes = packet.size_bytes;
+  context.packet_bytes = entry.packet.size_bytes;
   context.now = sim_.now();
   context.drain_rate_bps = config_.rate.bits_per_second();
   if (!config_.queue->admit(context, rng_)) {
     ++counters_.dropped_queue_packets;
-    if (on_drop) on_drop(packet);
+    if (entry.on_drop) entry.on_drop(entry.packet);
     return;
   }
-  queued_bytes_ += packet.size_bytes;
-  queue_.push_back(Pending{std::move(packet), std::move(on_deliver)});
+  queued_bytes_ += entry.packet.size_bytes;
+  if (count_ == ring_.size()) {
+    std::vector<Pending> grown(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) grown[i] = std::move(at(i));
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  at(count_++) = std::move(entry);
   if (!transmitting_) start_transmission();
 }
 
 void Link::start_transmission() {
-  assert(!queue_.empty());
+  assert(count_ > in_flight_);
   transmitting_ = true;
   // Serialization: the head packet occupies the transmitter for
   // size/rate seconds; afterwards it propagates independently while
   // the next packet starts serializing (pipelining). A shaper, if
   // configured, may hold the packet first until tokens accrue.
-  const Pending& head = queue_.front();
-  const double shaper_wait_s = take_shaper_tokens(head.packet.size_bytes);
+  const std::uint32_t bytes = at(in_flight_).packet.size_bytes;
+  const double shaper_wait_s = take_shaper_tokens(bytes);
   const double serialize_s =
-      static_cast<double>(head.packet.size_bytes) * 8.0 /
-      config_.rate.bits_per_second();
-  sim_.schedule_in(shaper_wait_s + serialize_s, [this] {
-    Pending done = std::move(queue_.front());
-    queue_.pop_front();
-    queued_bytes_ -= done.packet.size_bytes;
-    ++counters_.delivered_packets;
-    counters_.delivered_bytes += done.packet.size_bytes;
-    // Propagation happens off the transmitter; capture by value so the
-    // packet survives until delivery.
-    sim_.schedule_in(config_.propagation_delay.value(),
-                     [packet = std::move(done.packet),
-                      deliver = std::move(done.on_deliver)] {
-                       if (deliver) deliver(packet);
-                     });
-    if (!queue_.empty()) {
-      start_transmission();
-    } else {
-      transmitting_ = false;
-    }
-  });
+      static_cast<double>(bytes) * 8.0 / config_.rate.bits_per_second();
+  sim_.schedule_in(shaper_wait_s + serialize_s,
+                   [this] { finish_transmission(); });
+}
+
+void Link::finish_transmission() {
+  Pending& done = at(in_flight_);
+  queued_bytes_ -= done.packet.size_bytes;
+  ++counters_.delivered_packets;
+  counters_.delivered_bytes += done.packet.size_bytes;
+  // Propagation happens off the transmitter. The arrival takes its
+  // time and tie-break now, exactly as an event scheduled here would;
+  // arrivals are in FIFO order, so only the oldest needs to be queued.
+  done.arrives_at = sim_.now() + config_.propagation_delay.value();
+  done.seq = sim_.reserve_seq();
+  if (in_flight_++ == 0) schedule_arrival();
+  if (count_ > in_flight_) {
+    start_transmission();
+  } else {
+    transmitting_ = false;
+  }
+}
+
+void Link::schedule_arrival() {
+  const Pending& oldest = at(0);
+  sim_.schedule_reserved(oldest.arrives_at, oldest.seq, [this] { arrive(); });
+}
+
+void Link::arrive() {
+  Pending done = std::move(at(0));
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --count_;
+  if (--in_flight_ > 0) schedule_arrival();
+  if (done.route && done.hop + 1 < done.route->size()) {
+    ++done.hop;
+    (*done.route)[done.hop]->accept(std::move(done));
+  } else if (done.on_deliver) {
+    done.on_deliver(done.packet);
+  }
 }
 
 }  // namespace iqb::netsim

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "iqb/netsim/loss.hpp"
 #include "iqb/netsim/packet.hpp"
@@ -22,6 +22,11 @@
 #include "iqb/util/units.hpp"
 
 namespace iqb::netsim {
+
+class Link;
+
+/// A unidirectional route: the links to traverse in order.
+using Path = std::vector<Link*>;
 
 /// Counters exposed per link for invariant tests (conservation:
 /// offered == delivered + dropped_loss + dropped_queue + in flight).
@@ -68,6 +73,14 @@ class Link {
   /// via the callbacks, in simulated time.
   void send(Packet packet, DeliverFn on_deliver, DropFn on_drop = nullptr);
 
+  /// Offer a packet at hop `hop` of `route`, of which this link is
+  /// route[hop]. When it exits, the packet is offered to the next hop;
+  /// on_deliver fires when it exits the last one, and on_drop at
+  /// whichever hop drops it. Packets hold a pointer to `route`, so the
+  /// route must outlive them (see send_along).
+  void send(Packet packet, const Path& route, std::size_t hop,
+            DeliverFn on_deliver, DropFn on_drop);
+
   const LinkCounters& counters() const noexcept { return counters_; }
   util::Mbps rate() const noexcept { return config_.rate; }
   util::Seconds propagation_delay() const noexcept {
@@ -81,12 +94,28 @@ class Link {
   void set_loss_model(std::unique_ptr<LossModel> loss);
 
  private:
+  /// A packet from admission to delivery. The link is FIFO end to
+  /// end: packets leave the buffer in admission order and, with one
+  /// propagation delay per link, arrive in that order too.
   struct Pending {
     Packet packet;
+    const Path* route = nullptr;  ///< Null for the single-link send().
+    std::size_t hop = 0;
     DeliverFn on_deliver;
+    DropFn on_drop;
+    SimTime arrives_at = 0.0;  ///< Set when serialization ends ...
+    std::uint64_t seq = 0;     ///< ... with the tie-break reserved then.
   };
 
+  void accept(Pending&& entry);
   void start_transmission();
+  void finish_transmission();
+  /// Queue the arrival of the oldest packet in flight.
+  void schedule_arrival();
+  void arrive();
+  Pending& at(std::size_t i) noexcept {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
   /// Seconds the head packet must wait for shaper tokens (0 when
   /// shaping is off or credit suffices); consumes the tokens.
   SimTime take_shaper_tokens(std::uint32_t packet_bytes) noexcept;
@@ -94,7 +123,15 @@ class Link {
   Simulator& sim_;
   Config config_;
   util::Rng rng_;
-  std::deque<Pending> queue_;
+  // Ring buffer (power-of-two size, grown but never shrunk, so a
+  // packet hop allocates nothing) of every packet on the link: the
+  // first in_flight_ are propagating, each with its arrival reserved
+  // in the simulator and only the oldest queued there; the rest wait
+  // in the buffer, the first of them on the transmitter.
+  std::vector<Pending> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::size_t in_flight_ = 0;
   std::uint64_t queued_bytes_ = 0;
   bool transmitting_ = false;
   LinkCounters counters_;

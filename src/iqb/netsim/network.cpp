@@ -44,40 +44,11 @@ std::unique_ptr<QueueDiscipline> QueueSpec::instantiate() const {
   return std::make_unique<DropTailQueue>(capacity_bytes);
 }
 
-namespace {
-
-/// Recursive hop-chaining: deliver at the last hop, otherwise forward
-/// to the next link. Captures copy the path by value at the first call
-/// so the closure is self-contained; links must outlive in-flight
-/// packets (guaranteed: the Network owns them for the simulation).
-void send_hop(std::shared_ptr<const Path> path, std::size_t hop, Packet packet,
-              Link::DeliverFn on_deliver, Link::DropFn on_drop) {
-  Link* link = (*path)[hop];
-  if (hop + 1 == path->size()) {
-    link->send(std::move(packet), std::move(on_deliver), std::move(on_drop));
-    return;
-  }
-  // Build the forwarding closure (which owns on_drop for later hops)
-  // BEFORE passing a copy to this hop: evaluation order of function
-  // arguments is unspecified, so capturing and moving on_drop in the
-  // same call would race.
-  Link::DropFn drop_here = on_drop;
-  Link::DeliverFn forward =
-      [path = std::move(path), hop, on_deliver = std::move(on_deliver),
-       on_drop = std::move(on_drop)](const Packet& delivered) mutable {
-        send_hop(std::move(path), hop + 1, delivered, std::move(on_deliver),
-                 std::move(on_drop));
-      };
-  link->send(std::move(packet), std::move(forward), std::move(drop_here));
-}
-
-}  // namespace
-
 void send_along(const Path& path, Packet packet, Link::DeliverFn on_deliver,
                 Link::DropFn on_drop) {
   assert(!path.empty() && "send_along on empty path");
-  send_hop(std::make_shared<const Path>(path), 0, std::move(packet),
-           std::move(on_deliver), std::move(on_drop));
+  path.front()->send(std::move(packet), path, 0, std::move(on_deliver),
+                     std::move(on_drop));
 }
 
 util::Seconds base_one_way_delay(const Path& path, std::uint32_t bytes) noexcept {

@@ -96,12 +96,18 @@ struct LinkSpec {
 
 using NodeId = std::uint32_t;
 
-/// A unidirectional route: the links to traverse in order.
-using Path = std::vector<Link*>;
-
 /// Send a packet across every link of a path in sequence. on_deliver
 /// fires when it exits the last hop; on_drop fires at most once, at
 /// whichever hop dropped it.
+///
+/// Route lifetime: the packet carries a pointer to `path`, not a copy,
+/// so `path` must outlive the packet's last hop. Keep it in storage
+/// that lives as long as the Network, or in the flow whose `this` the
+/// delivery callback captures (every netsim flow keeps its own copy of
+/// its paths and already outlives its packets). A temporary dangles.
+/// The rule binds only while the simulator can still run: a world
+/// whose simulator never runs again may be torn down with packets in
+/// flight.
 void send_along(const Path& path, Packet packet, Link::DeliverFn on_deliver,
                 Link::DropFn on_drop = nullptr);
 

@@ -329,7 +329,6 @@ void TcpFlow::cubic_update() {
 }
 
 void TcpFlow::sample_rtt(double rtt_s) {
-  stats_.rtt_samples_ms.push_back(rtt_s * 1e3);
   if (stats_.min_rtt_ms == 0.0 || rtt_s * 1e3 < stats_.min_rtt_ms) {
     stats_.min_rtt_ms = rtt_s * 1e3;
   }

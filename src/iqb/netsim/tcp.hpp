@@ -12,9 +12,12 @@
 // IQB measures — throughput ramp-up, loss response, self-induced
 // queueing delay.
 //
-// Lifetime: a TcpFlow must outlive the Simulator events it schedules;
-// run the simulator to completion (or past the flow's finish) before
-// destroying the flow.
+// Lifetime: a TcpFlow must outlive the Simulator events it schedules
+// and the packets in flight on its paths (they point at the flow's own
+// copies of the paths). Run the simulator past the flow's finish, or
+// never run it again, before destroying the flow. Every ACK that
+// advances the window cancels the retransmission timer and schedules
+// a new one; Simulator::cancel() removes the old event in O(log n).
 #pragma once
 
 #include <cstdint>
@@ -86,7 +89,6 @@ struct TcpStats {
   double min_rtt_ms = 0.0;
   double smoothed_rtt_ms = 0.0;
   double final_cwnd_segments = 0.0;
-  std::vector<double> rtt_samples_ms;
   std::vector<ThroughputSample> throughput_samples;
 
   /// Average goodput over the flow's lifetime.

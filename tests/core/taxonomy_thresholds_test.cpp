@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "iqb/core/taxonomy.hpp"
 #include "iqb/core/thresholds.hpp"
 
@@ -62,6 +64,11 @@ TEST(Threshold, MetByHonoursDirection) {
 
 struct Fig2Row {
   UseCase use_case;
+  // gtest prints a parameter that has no PrintTo as its raw bytes, and
+  // ctest names each case after that print. Left as implicit padding
+  // these four bytes hold whatever the stack held, so the case names
+  // changed from build to build; spelled out and zeroed they are stable.
+  std::uint32_t padding;
   double down_min, down_high, up_min, up_high;
   double lat_min, lat_high;
   double loss_min_pct, loss_high_pct;
@@ -97,12 +104,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Upload-high "Other" encoded as the minimum value (10); video
         // streaming download-high "50-100" encoded as 100. See DESIGN.md.
-        Fig2Row{UseCase::kWebBrowsing, 10, 100, 10, 10, 100, 50, 1.0, 0.5},
-        Fig2Row{UseCase::kVideoStreaming, 25, 100, 10, 10, 100, 50, 1.0, 0.1},
-        Fig2Row{UseCase::kVideoConferencing, 10, 100, 25, 100, 50, 20, 0.5, 0.1},
-        Fig2Row{UseCase::kAudioStreaming, 10, 50, 10, 50, 100, 50, 1.0, 0.1},
-        Fig2Row{UseCase::kOnlineBackup, 10, 10, 25, 200, 100, 100, 1.0, 0.1},
-        Fig2Row{UseCase::kGaming, 10, 100, 10, 10, 100, 50, 1.0, 0.5}),
+        Fig2Row{UseCase::kWebBrowsing, 0, 10, 100, 10, 10, 100, 50, 1.0, 0.5},
+        Fig2Row{UseCase::kVideoStreaming, 0, 25, 100, 10, 10, 100, 50, 1.0, 0.1},
+        Fig2Row{UseCase::kVideoConferencing, 0, 10, 100, 25, 100, 50, 20, 0.5, 0.1},
+        Fig2Row{UseCase::kAudioStreaming, 0, 10, 50, 10, 50, 100, 50, 1.0, 0.1},
+        Fig2Row{UseCase::kOnlineBackup, 0, 10, 10, 25, 200, 100, 100, 1.0, 0.1},
+        Fig2Row{UseCase::kGaming, 0, 10, 100, 10, 10, 100, 50, 1.0, 0.5}),
     [](const ::testing::TestParamInfo<Fig2Row>& info) {
       return std::string(use_case_name(info.param.use_case));
     });

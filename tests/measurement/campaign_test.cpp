@@ -93,6 +93,78 @@ TEST(Campaign, SessionsVaryAcrossRepetitions) {
   EXPECT_TRUE(d0 != d1 || d1 != d2);
 }
 
+/// Stub tool: reports its result either at once, before the simulator
+/// runs, or from an event at `result_at_s`. It also schedules a
+/// sentinel due at that instant and queued after the result, so the
+/// sentinel must never run: a session ends at its result.
+class SentinelTool final : public MeasurementClient {
+ public:
+  explicit SentinelTool(bool fail_at_once, netsim::SimTime result_at_s = 0.0)
+      : fail_at_once_(fail_at_once), result_at_s_(result_at_s) {}
+
+  std::string_view name() const noexcept override { return "sentinel"; }
+
+  void run(const TestEnvironment& env, ObservationFn done) override {
+    netsim::Simulator* sim = env.sim;
+    if (!fail_at_once_) {
+      sim->schedule_at(result_at_s_, [sim, done] {
+        TestObservation observation;
+        observation.tool = "sentinel";
+        observation.finished_at = sim->now();
+        done(observation);
+      });
+    }
+    sim->schedule_at(result_at_s_, [this] { ++sentinel_fired; });
+    if (fail_at_once_) {
+      done(util::make_error(util::ErrorCode::kNotFound, "no server"));
+    }
+  }
+
+  int sentinel_fired = 0;
+
+ private:
+  bool fail_at_once_;
+  netsim::SimTime result_at_s_;
+};
+
+TEST(Campaign, SynchronousFailureRunsNoEvent) {
+  auto tool = std::make_shared<SentinelTool>(/*fail_at_once=*/true);
+  Campaign campaign(quick_config());
+  campaign.add_client(tool);
+  SubscriberSpec subscriber = fast_subscriber();
+  subscriber.background_utilization = 0.3;  // cross traffic is queued too
+  campaign.add_subscriber(subscriber);
+  const auto records = campaign.run();
+  EXPECT_TRUE(records.empty());
+  EXPECT_EQ(campaign.failed_sessions(), 1u);
+  EXPECT_EQ(tool->sentinel_fired, 0);
+}
+
+TEST(Campaign, SessionStopsAtItsResult) {
+  auto tool = std::make_shared<SentinelTool>(/*fail_at_once=*/false, 2.0);
+  Campaign campaign(quick_config());
+  campaign.add_client(tool);
+  SubscriberSpec subscriber = fast_subscriber();
+  subscriber.background_utilization = 0.3;
+  campaign.add_subscriber(subscriber);
+  const auto records = campaign.run();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_DOUBLE_EQ(records[0].observation.finished_at, 2.0);
+  EXPECT_EQ(tool->sentinel_fired, 0);
+}
+
+TEST(Campaign, ResultPastTheTimeLimitFailsTheSession) {
+  CampaignConfig config = quick_config();
+  config.session_time_limit_s = 5.0;
+  auto tool = std::make_shared<SentinelTool>(/*fail_at_once=*/false, 6.0);
+  Campaign campaign(config);
+  campaign.add_client(tool);
+  campaign.add_subscriber(fast_subscriber());
+  EXPECT_TRUE(campaign.run().empty());
+  EXPECT_EQ(campaign.failed_sessions(), 1u);
+  EXPECT_EQ(tool->sentinel_fired, 0);
+}
+
 // ---------------- adapters -------------------------------------------
 
 TEST(Adapters, RouteSessionsByTool) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "iqb/netsim/loss.hpp"
 #include "iqb/netsim/queue.hpp"
 
@@ -125,6 +128,38 @@ TEST(Link, ThroughputMatchesRate) {
   }
   sim.run();
   EXPECT_NEAR(last_delivery, 1.0, 0.01);
+}
+
+TEST(Link, InFlightFifoDeliversInOrderAndCountsAsPending) {
+  // 1000 B at 8 Mb/s serializes in 1 ms; 10 ms of propagation keeps
+  // several packets in flight, and the second burst grows the link's
+  // ring while its oldest entry sits mid-buffer.
+  Simulator sim;
+  Link link(sim, basic_config(8.0, 0.01), util::Rng(1));
+  std::vector<std::pair<std::uint64_t, double>> arrivals;
+  auto send = [&](std::uint64_t seq) {
+    link.send(make_packet(1000, seq), [&](const Packet& p) {
+      arrivals.emplace_back(p.seq, sim.now());
+    });
+  };
+  for (std::uint64_t seq = 0; seq < 6; ++seq) send(seq);
+  sim.run(0.0125);
+  ASSERT_EQ(arrivals.size(), 2u);
+  // Packets 2-5 are propagating: their arrivals are pending events
+  // even though only the oldest is queued in the simulator.
+  EXPECT_EQ(sim.pending(), 4u);
+  for (std::uint64_t seq = 6; seq < 16; ++seq) send(seq);
+  EXPECT_EQ(sim.pending(), 5u);  // plus packet 6's serialization
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 16u);
+  for (std::uint64_t seq = 0; seq < 16; ++seq) {
+    const double expected = seq < 6 ? 0.011 + 0.001 * static_cast<double>(seq)
+                                    : 0.0235 + 0.001 * static_cast<double>(seq - 6);
+    EXPECT_EQ(arrivals[seq].first, seq);
+    EXPECT_NEAR(arrivals[seq].second, expected, 1e-12);
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(link.counters().delivered_packets, 16u);
 }
 
 TEST(LossModels, BernoulliRate) {
