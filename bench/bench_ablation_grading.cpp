@@ -23,7 +23,7 @@ datasets::RecordStore make_population(std::uint64_t seed) {
   const auto base_profiles = datasets::example_region_profiles();
   for (std::size_t variant = 0; variant < 10; ++variant) {
     for (datasets::RegionProfile profile : base_profiles) {
-      profile.region += "_" + std::to_string(variant);
+      profile.region.append("_").append(std::to_string(variant));
       profile.median_download_mbps *= rng.uniform(0.7, 1.4);
       profile.base_latency_ms *= rng.uniform(0.8, 1.3);
       profile.lossy_test_fraction =

@@ -200,7 +200,7 @@ int cmd_score(const Args& args, std::ostream& out, std::ostream& err) {
   const robust::IngestHealth health = loaded->health;
   datasets::RecordStore scored_store =
       args.get("by-isp").value_or("") == "true"
-          ? datasets::rekey_by_region_isp(loaded->store)
+          ? datasets::rekey_by_region_isp(std::move(loaded->store))
           : std::move(loaded).value().store;
 
   core::Pipeline pipeline(std::move(config).value());

@@ -676,22 +676,21 @@ bool WatchDaemon::run_cycle(std::ostream& err) {
     // Shard mode: keep only this shard's regions. Filtering happens
     // before the optional by-isp rekey so --regions always names the
     // records' own region values.
-    std::vector<datasets::MeasurementRecord> kept;
-    for (const datasets::MeasurementRecord& record :
-         loaded->store.records()) {
-      if (std::find(options_.regions.begin(), options_.regions.end(),
-                    record.region) != options_.regions.end()) {
-        kept.push_back(record);
-      }
-    }
+    std::vector<datasets::MeasurementRecord> kept =
+        std::move(loaded->store).release();
+    std::erase_if(kept, [&](const datasets::MeasurementRecord& record) {
+      return std::find(options_.regions.begin(), options_.regions.end(),
+                       record.region) == options_.regions.end();
+    });
     if (kept.empty()) {
       return fail_cycle("no records match --regions");
     }
     loaded->store = datasets::RecordStore(std::move(kept));
   }
   datasets::RecordStore store =
-      options_.by_isp ? datasets::rekey_by_region_isp(loaded->store)
-                      : std::move(loaded).value().store;
+      options_.by_isp
+          ? datasets::rekey_by_region_isp(std::move(loaded->store))
+          : std::move(loaded).value().store;
 
   core::Pipeline pipeline(*config_);
   auto output = pipeline.run(store, health, telemetry);

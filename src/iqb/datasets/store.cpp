@@ -1,6 +1,8 @@
 #include "iqb/datasets/store.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace iqb::datasets {
 
@@ -56,16 +58,23 @@ util::Result<void> RecordStore::add(MeasurementRecord record) {
 }
 
 std::size_t RecordStore::add_all(std::vector<MeasurementRecord> records) {
-  std::size_t skipped = 0;
-  for (auto& record : records) {
-    if (record.is_valid()) {
-      records_.push_back(std::move(record));
-    } else {
-      ++skipped;
-    }
+  const std::size_t skipped =
+      std::erase_if(records, [](const MeasurementRecord& record) {
+        return !record.is_valid();
+      });
+  if (records_.empty()) {
+    records_ = std::move(records);
+  } else {
+    records_.insert(records_.end(), std::make_move_iterator(records.begin()),
+                    std::make_move_iterator(records.end()));
   }
   invalidate_index();
   return skipped;
+}
+
+std::vector<MeasurementRecord> RecordStore::release() && {
+  invalidate_index();
+  return std::exchange(records_, {});
 }
 
 std::vector<MeasurementRecord> RecordStore::query(
@@ -140,15 +149,13 @@ void RecordStore::merge(const RecordStore& other) {
   invalidate_index();
 }
 
-RecordStore rekey_by_region_isp(const RecordStore& store, char separator) {
-  std::vector<MeasurementRecord> rekeyed;
-  rekeyed.reserve(store.size());
-  for (const MeasurementRecord& record : store.records()) {
-    MeasurementRecord copy = record;
-    copy.region = record.region + separator + record.isp;
-    rekeyed.push_back(std::move(copy));
+RecordStore rekey_by_region_isp(RecordStore store, char separator) {
+  std::vector<MeasurementRecord> records = std::move(store).release();
+  for (MeasurementRecord& record : records) {
+    record.region += separator;
+    record.region += record.isp;
   }
-  return RecordStore(std::move(rekeyed));
+  return RecordStore(std::move(records));
 }
 
 }  // namespace iqb::datasets

@@ -45,8 +45,16 @@ class RecordStore {
   /// metric values) are rejected.
   util::Result<void> add(MeasurementRecord record);
 
-  /// Append, skipping invalid records; returns how many were skipped.
+  /// Append the valid records in their incoming order, skipping the
+  /// invalid ones; returns how many were skipped. The invalid records
+  /// are erased from `records` in place, then an empty store adopts
+  /// its buffer and a non-empty one appends it in one range insert, so
+  /// no row is moved one at a time.
   std::size_t add_all(std::vector<MeasurementRecord> records);
+
+  /// Hand the records back and leave the store empty, so a caller can
+  /// filter or rewrite loaded rows in place instead of copying them.
+  std::vector<MeasurementRecord> release() &&;
 
   std::size_t size() const noexcept { return records_.size(); }
   bool empty() const noexcept { return records_.empty(); }
@@ -102,10 +110,11 @@ class RecordStore {
   mutable std::shared_ptr<const StoreIndex> index_;
 };
 
-/// Copy of the store with region keys replaced by "region<sep>isp",
-/// so the region-keyed aggregation/scoring pipeline produces per-ISP
-/// results within each region ("which provider is holding this region
-/// back?") without any changes to the scoring tier.
-RecordStore rekey_by_region_isp(const RecordStore& store, char separator = '/');
+/// The store with region keys replaced by "region<sep>isp", so the
+/// region-keyed aggregation/scoring pipeline produces per-ISP results
+/// within each region ("which provider is holding this region back?")
+/// without any changes to the scoring tier. Pass an rvalue to rewrite
+/// the rows in place; an lvalue argument is copied and left untouched.
+RecordStore rekey_by_region_isp(RecordStore store, char separator = '/');
 
 }  // namespace iqb::datasets

@@ -107,10 +107,15 @@ std::string Histogram::to_ascii(std::size_t max_width) const {
     const auto bar_len = static_cast<std::size_t>(
         static_cast<double>(counts_[i]) / static_cast<double>(peak) *
         static_cast<double>(max_width));
-    out += "[" + util::format_fixed(edges_[i], 1) + ", " +
-           util::format_fixed(edges_[i + 1], 1) + ") ";
-    out.append(bar_len, '#');
-    out += " " + std::to_string(counts_[i]) + "\n";
+    out.append("[")
+        .append(util::format_fixed(edges_[i], 1))
+        .append(", ")
+        .append(util::format_fixed(edges_[i + 1], 1))
+        .append(") ")
+        .append(bar_len, '#')
+        .append(" ")
+        .append(std::to_string(counts_[i]))
+        .append("\n");
   }
   return out;
 }

@@ -71,7 +71,7 @@ bool write_all(int fd, std::string_view data) {
 void sync_parent_dir(const std::filesystem::path& path) {
   std::filesystem::path dir = path.parent_path();
   if (dir.empty()) dir = ".";
-  fsync_dir(dir);  // best-effort: result intentionally ignored
+  static_cast<void>(fsync_dir(dir));  // best-effort: result ignored
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "iqb/datasets/io.hpp"
+
 namespace iqb::datasets {
 namespace {
 
@@ -64,13 +70,91 @@ TEST(RecordStore, AddRejectsInvalid) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+std::vector<MeasurementRecord> batch_of(const std::vector<double>& downloads) {
+  std::vector<MeasurementRecord> batch;
+  for (double download : downloads) batch.push_back(record("d", "r", download));
+  return batch;
+}
+
 TEST(RecordStore, AddAllSkipsInvalidAndCounts) {
+  // Negative downloads are invalid: first, in the middle, last, and
+  // several at once. Each batch goes into an empty store (which adopts
+  // it) and into a non-empty one (which appends it); both must agree
+  // with appending the valid records one at a time.
+  const std::vector<std::vector<double>> cases{
+      {1.0, -5.0, 2.0},
+      {-1.0, 1.0, 2.0},
+      {1.0, 2.0, -3.0},
+      {-1.0, 1.0, -2.0, 2.0, 3.0, -4.0},
+      {1.0, 2.0, 3.0}};
+  for (const std::vector<double>& downloads : cases) {
+    const std::vector<MeasurementRecord> batch = batch_of(downloads);
+    std::vector<MeasurementRecord> expected;
+    std::size_t expected_skipped = 0;
+    for (const MeasurementRecord& r : batch) {
+      if (r.is_valid()) {
+        expected.push_back(r);
+      } else {
+        ++expected_skipped;
+      }
+    }
+
+    RecordStore adopted;
+    EXPECT_EQ(adopted.add_all(batch), expected_skipped);
+    EXPECT_EQ(records_to_csv(adopted.records()), records_to_csv(expected));
+
+    RecordStore appended;
+    ASSERT_TRUE(appended.add(record("d", "r", 9.0)).ok());
+    EXPECT_EQ(appended.add_all(batch), expected_skipped);
+    expected.insert(expected.begin(), record("d", "r", 9.0));
+    EXPECT_EQ(records_to_csv(appended.records()), records_to_csv(expected));
+  }
+
   RecordStore store;
-  std::vector<MeasurementRecord> batch{record("d", "r", 1.0),
-                                       record("d", "r", -5.0),
-                                       record("d", "r", 2.0)};
-  EXPECT_EQ(store.add_all(std::move(batch)), 1u);
-  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.add_all(batch_of({-1.0, -2.0, -3.0})), 3u);
+  EXPECT_TRUE(store.empty());
+}
+
+void expect_same_index(const StoreIndex& got, const StoreIndex& want) {
+  EXPECT_EQ(got.record_count(), want.record_count());
+  EXPECT_EQ(got.regions(), want.regions());
+  EXPECT_EQ(got.datasets(), want.datasets());
+  EXPECT_EQ(got.isps(), want.isps());
+  ASSERT_EQ(got.groups().size(), want.groups().size());
+  for (std::size_t i = 0; i < got.groups().size(); ++i) {
+    const StoreIndex::Group& g = got.groups()[i];
+    const StoreIndex::Group& w = want.groups()[i];
+    EXPECT_EQ(got.region_symbols().name(g.region_id),
+              want.region_symbols().name(w.region_id));
+    EXPECT_EQ(got.dataset_symbols().name(g.dataset_id),
+              want.dataset_symbols().name(w.dataset_id));
+    EXPECT_EQ(g.rows, w.rows);
+    EXPECT_EQ(g.columns, w.columns);
+  }
+}
+
+TEST(RecordStore, AddAllDropsTheCachedIndex) {
+  RecordStore store;
+  store.index();
+  store.add_all({record("ndt", "y", 2.0), record("ndt", "x", -1.0),
+                 record("ookla", "x", 3.0)});
+  EXPECT_FALSE(store.index_ready());
+  expect_same_index(store.index(), StoreIndex::build(store.records()));
+
+  store.add_all({record("ookla", "y", 4.0), record("ndt", "x", 5.0)});
+  EXPECT_FALSE(store.index_ready());
+  expect_same_index(store.index(), StoreIndex::build(store.records()));
+  EXPECT_EQ(store.index().record_count(), 4u);
+}
+
+TEST(RecordStore, ReleaseHandsBackTheRowsAndEmptiesTheStore) {
+  RecordStore store;
+  store.add_all(batch_of({1.0, 2.0}));
+  store.index();
+  const std::vector<MeasurementRecord> released = std::move(store).release();
+  EXPECT_EQ(records_to_csv(released), records_to_csv(batch_of({1.0, 2.0})));
+  EXPECT_TRUE(store.empty());  // release() leaves the store empty
+  EXPECT_FALSE(store.index_ready());
 }
 
 TEST(RecordFilter, MatchesAllDimensions) {
@@ -179,6 +263,27 @@ TEST(RekeyByRegionIsp, SplitsRegionsPerProvider) {
   ASSERT_EQ(alpha.size(), 1u);
   EXPECT_DOUBLE_EQ(alpha[0].download->value(), 100.0);
   EXPECT_EQ(alpha[0].isp, "alpha_net");
+}
+
+TEST(RekeyByRegionIsp, RvalueRewritesInPlaceLikeTheLvalueCopy) {
+  RecordStore store;
+  std::vector<MeasurementRecord> want;
+  const std::vector<std::pair<std::string, double>> rows{
+      {"beta_net", 10.0}, {"alpha_net", 20.0}, {"beta_net", 30.0}};
+  for (const auto& [isp, download] : rows) {
+    MeasurementRecord r = record("ndt", "metro", download);
+    r.isp = isp;
+    (void)store.add(r);
+    r.region = "metro/" + isp;
+    want.push_back(r);
+  }
+  const std::string before = records_to_csv(store.records());
+
+  RecordStore from_lvalue = rekey_by_region_isp(store);
+  EXPECT_EQ(records_to_csv(store.records()), before);
+  RecordStore from_rvalue = rekey_by_region_isp(std::move(store));
+  EXPECT_EQ(records_to_csv(from_lvalue.records()), records_to_csv(want));
+  EXPECT_EQ(records_to_csv(from_rvalue.records()), records_to_csv(want));
 }
 
 TEST(RekeyByRegionIsp, CustomSeparator) {

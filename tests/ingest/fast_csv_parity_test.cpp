@@ -106,7 +106,7 @@ TEST(FastCsvParity, CrlfAndLoneCarriageReturnEndings) {
   crlf += good_row(0) + "\r\n" + good_row(1) + "\r\n";
   expect_parity_both_modes(crlf);
   std::string lone_cr = kHeader;
-  lone_cr += "\r" + good_row(0) + "\r" + good_row(1);
+  lone_cr.append("\r").append(good_row(0)).append("\r").append(good_row(1));
   expect_parity_both_modes(lone_cr);
 }
 

@@ -15,7 +15,7 @@ namespace {
 
 CompletedSpan span_named(const std::string& name) {
   CompletedSpan span;
-  span.trace_id = "t";
+  span.trace_id.append("t");
   span.name = name;
   return span;
 }

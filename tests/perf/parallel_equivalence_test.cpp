@@ -88,9 +88,9 @@ std::string run_report(const datasets::RecordStore& store,
   core::Pipeline pipeline(std::move(config));
   auto output = pipeline.run(store);
   std::string rendered = report::to_json(output.results).dump(2);
-  rendered += "\n" + report::comparison_table(output.results);
+  rendered.append("\n").append(report::comparison_table(output.results));
   for (const auto& result : output.results) {
-    rendered += "\n" + report::scorecard(result);
+    rendered.append("\n").append(report::scorecard(result));
   }
   for (const auto& skipped : output.skipped) {
     rendered += "\nskipped " + skipped.to_string();

@@ -72,7 +72,9 @@ TEST(FaultInjector, SameSeedSameOutput) {
     auto a = first.fetch("feed", fixed(kCsv));
     auto b = second.fetch("feed", fixed(kCsv));
     ASSERT_EQ(a.ok(), b.ok());
-    if (a.ok()) EXPECT_EQ(a.value(), b.value());
+    if (a.ok()) {
+      EXPECT_EQ(a.value(), b.value());
+    }
   }
 }
 

@@ -27,8 +27,8 @@
 // tool the CI chaos-smoke job runs; it is also useful interactively:
 //
 //   iqb_chaos --iqbd build/tools/iqbd --records records.csv --iterations 20
-//   iqb_chaos --iqbd build/tools/iqbd --records records.csv \
-//             --peer-port 18991 --wipe-every 3 --iterations 9
+//   iqb_chaos --iqbd build/tools/iqbd --records records.csv
+//             --peer-port 18991 --wipe-every 3 --iterations 9  (one command)
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>

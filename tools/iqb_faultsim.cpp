@@ -5,8 +5,8 @@
 // reproducible "dirty" fixtures to exercise `iqbctl score --lenient
 // true` and the quarantine/degraded-mode machinery end to end:
 //
-//   iqb_faultsim --records clean.csv --out dirty.csv \
-//                --seed 7 --corrupt-rate 0.2 --truncate-rate 0.1
+//   iqb_faultsim --records clean.csv --out dirty.csv --seed 7
+//                --corrupt-rate 0.2 --truncate-rate 0.1  (one command)
 //
 // Exit codes: 0 wrote output, 1 usage error, 2 IO failure (including
 // an injected one, when --io-error-rate fires).
