@@ -107,7 +107,7 @@ std::string pipeline_report(const datasets::RecordStore& store,
   config.aggregation.threads = threads;
   core::Pipeline pipeline(std::move(config));
   auto output = pipeline.run(store);
-  return report::to_json(output.results).dump(2);
+  return report::scores_document(output.results);
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   // Machine-readable exports alongside the console report.
-  std::printf("JSON results:\n%s\n",
-              report::to_json(output.results).dump(2).c_str());
+  std::printf("JSON results:\n%s",
+              report::scores_document(output.results).c_str());
   return 0;
 }

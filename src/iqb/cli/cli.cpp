@@ -216,7 +216,7 @@ int cmd_score(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string format = args.get("format").value_or("text");
   std::string rendered;
   if (format == "json") {
-    rendered = report::to_json(output.results).dump(2) + "\n";
+    rendered = report::scores_document(output.results);
   } else if (format == "csv") {
     rendered = report::to_csv(output.results);
   } else if (format == "markdown") {
@@ -472,19 +472,32 @@ std::optional<std::string> Args::get(const std::string& key) const {
   return it->second;
 }
 
-ParsedOrError parse_args(const std::vector<std::string>& tokens) {
-  if (tokens.empty()) return {std::nullopt, "no command given"};
-  Args args;
-  args.command = tokens[0];
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
+util::Result<std::vector<Option>> parse_options(
+    std::span<const std::string> tokens) {
+  std::vector<Option> options;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::string& key = tokens[i];
     if (!util::starts_with(key, "--")) {
-      return {std::nullopt, "expected --option, got '" + key + "'"};
+      return util::make_error(util::ErrorCode::kInvalidArgument,
+                              "expected --option, got '" + key + "'");
     }
-    if (i + 1 >= tokens.size()) {
-      return {std::nullopt, "missing value for " + key};
+    if (i + 1 >= tokens.size() || util::starts_with(tokens[i + 1], "--")) {
+      return util::make_error(util::ErrorCode::kInvalidArgument,
+                              "missing value for " + key);
     }
-    args.options[key.substr(2)] = tokens[++i];
+    options.push_back({key.substr(2), tokens[++i]});
+  }
+  return options;
+}
+
+ParsedOrError parse_args(const std::vector<std::string>& tokens) {
+  if (tokens.empty()) return {std::nullopt, "no command given"};
+  auto options = parse_options(std::span(tokens).subspan(1));
+  if (!options.ok()) return {std::nullopt, options.error().message};
+  Args args;
+  args.command = tokens[0];
+  for (Option& option : options.value()) {
+    args.options[option.key] = std::move(option.value);
   }
   return {args, ""};
 }

@@ -28,10 +28,27 @@
 #include <iosfwd>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "iqb/util/result.hpp"
+
 namespace iqb::cli {
+
+/// One `--key value` pair, the key without its dashes.
+struct Option {
+  std::string key;
+  std::string value;
+};
+
+/// The `--key value` grammar every IQB command line shares: iqbctl
+/// after its subcommand, iqbd, and iqbd --coordinator. A token that is
+/// not `--key` is an error ("expected --option, got 'x'"), and so is a
+/// key without a value ("missing value for --key"): the tokens end, or
+/// the next token is itself a `--flag`.
+util::Result<std::vector<Option>> parse_options(
+    std::span<const std::string> tokens);
 
 /// Parsed command line: the subcommand plus --key value options.
 struct Args {

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "iqb/cli/cli.hpp"
 #include "iqb/fleet/stitch.hpp"
 #include "iqb/obs/history_routes.hpp"
 #include "iqb/obs/http_client.hpp"
@@ -61,18 +62,9 @@ const char* coordinator_usage() noexcept { return kCoordinatorUsage; }
 util::Result<CoordinatorOptions> parse_coordinator_args(
     const std::vector<std::string>& tokens) {
   CoordinatorOptions options;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::string& key = tokens[i];
-    if (!util::starts_with(key, "--")) {
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "expected --option, got '" + key + "'");
-    }
-    if (i + 1 >= tokens.size()) {
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "missing value for " + key);
-    }
-    const std::string name = key.substr(2);
-    const std::string& value = tokens[++i];
+  auto pairs = parse_options(tokens);
+  if (!pairs.ok()) return pairs.error();
+  for (const auto& [name, value] : pairs.value()) {
     if (name == "shards") {
       for (const std::string& token : util::split(value, ',')) {
         if (token.empty()) continue;
@@ -460,6 +452,10 @@ bool CoordinatorDaemon::run_cycle(std::ostream& err) {
     obs::ScopedSpan fuse_span(tracer.get(), "fleet.fuse");
     return fleet::fuse(*config_, views, trace_id);
   }();
+  // The documents move into the snapshot below; /fleetz reads only
+  // last_fuse_'s counters and region lists.
+  std::string scores_json = std::move(output.scores_json);
+  std::string aggregate_json = std::move(output.aggregate_json);
   {
     std::lock_guard<std::mutex> lock(fuse_mutex_);
     last_fuse_ = output;
@@ -512,10 +508,10 @@ bool CoordinatorDaemon::run_cycle(std::ostream& err) {
   auto snapshot = std::make_shared<obs::ScoreSnapshot>();
   snapshot->cycle = cycle;
   snapshot->trace_id = trace_id;
-  snapshot->scores_json = output.scores_json;
+  snapshot->scores_json = std::move(scores_json);
   snapshot->tier_c = output.tier_c;
   snapshot->tier_c_regions = output.tier_c_regions;
-  snapshot->aggregate_json = output.aggregate_json;
+  snapshot->aggregate_json = std::move(aggregate_json);
   const bool tier_c = snapshot->tier_c;
   save_checkpoint(*snapshot, err);
   server_.publish(std::move(snapshot));

@@ -7,6 +7,7 @@
 #include <system_error>
 #include <utility>
 
+#include "iqb/cli/cli.hpp"
 #include "iqb/cli/load.hpp"
 #include "iqb/core/pipeline.hpp"
 #include "iqb/datasets/record.hpp"
@@ -79,18 +80,9 @@ const char* daemon_usage() noexcept { return kDaemonUsage; }
 util::Result<DaemonOptions> parse_daemon_args(
     const std::vector<std::string>& tokens) {
   DaemonOptions options;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::string& key = tokens[i];
-    if (!util::starts_with(key, "--")) {
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "expected --option, got '" + key + "'");
-    }
-    if (i + 1 >= tokens.size()) {
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "missing value for " + key);
-    }
-    const std::string name = key.substr(2);
-    const std::string& value = tokens[++i];
+  auto pairs = parse_options(tokens);
+  if (!pairs.ok()) return pairs.error();
+  for (const auto& [name, value] : pairs.value()) {
     if (name == "records") {
       options.records_path = value;
     } else if (name == "config") {
@@ -705,14 +697,14 @@ bool WatchDaemon::run_cycle(std::ostream& err) {
   auto snapshot = std::make_shared<obs::ScoreSnapshot>();
   snapshot->cycle = cycle;
   snapshot->trace_id = trace_id;
-  snapshot->scores_json = report::to_json(output.results).dump(2) + "\n";
+  snapshot->scores_json = report::scores_document(output.results);
   {
     // Publish the cycle's aggregate table on /shard/aggregate so a
     // fleet coordinator can scatter-gather this daemon as a shard.
     fleet::ShardPayload payload;
     payload.cycle = cycle;
     payload.trace_id = trace_id;
-    payload.table = output.aggregates;
+    payload.table = std::move(output.aggregates);
     payload.health = health;
     snapshot->aggregate_json = fleet::serialize_shard_payload(payload);
   }

@@ -132,13 +132,11 @@ Pipeline::RunOutput Pipeline::run(const datasets::RecordStore& store,
 Result<RegionResult> Pipeline::score_region(
     const datasets::AggregateTable& aggregates, const std::string& region,
     const robust::IngestHealth& health) const {
-  Scorer scorer(config_.thresholds, config_.weights);
-
-  auto high = scorer.score_region(aggregates, region, config_.dataset_panel,
-                                  QualityLevel::kHigh);
+  auto high = scorer_.score_region(aggregates, region, config_.dataset_panel,
+                                   QualityLevel::kHigh);
   if (!high.ok()) return high.error();
-  auto minimum = scorer.score_region(aggregates, region, config_.dataset_panel,
-                                     QualityLevel::kMinimum);
+  auto minimum = scorer_.score_region(aggregates, region, config_.dataset_panel,
+                                      QualityLevel::kMinimum);
   if (!minimum.ok()) return minimum.error();
 
   RegionResult result;

@@ -47,7 +47,9 @@ struct SkippedRegion {
 
 class Pipeline {
  public:
-  explicit Pipeline(IqbConfig config) : config_(std::move(config)) {}
+  explicit Pipeline(IqbConfig config)
+      : config_(std::move(config)),
+        scorer_(config_.thresholds, config_.weights) {}
 
   const IqbConfig& config() const noexcept { return config_; }
 
@@ -90,6 +92,7 @@ class Pipeline {
 
  private:
   IqbConfig config_;
+  Scorer scorer_;  ///< Built once from config_; shared by every region.
 };
 
 }  // namespace iqb::core

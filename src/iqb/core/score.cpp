@@ -10,25 +10,27 @@ using util::Result;
 
 void BinaryScoreTensor::set(UseCase use_case, Requirement requirement,
                             const std::string& dataset, bool met) {
-  cells_[{static_cast<int>(use_case), static_cast<int>(requirement), dataset}] =
-      met;
+  auto it = std::lower_bound(datasets_.begin(), datasets_.end(), dataset);
+  const auto block = static_cast<std::size_t>(it - datasets_.begin());
+  if (it == datasets_.end() || *it != dataset) {
+    datasets_.insert(it, dataset);
+    cells_.insert(cells_.begin() + static_cast<std::ptrdiff_t>(block * kBlock),
+                  kBlock, Cell::kAbsent);
+  }
+  Cell& cell = cells_[block * kBlock + slot(use_case, requirement)];
+  if (cell == Cell::kAbsent) ++size_;
+  cell = met ? Cell::kTrue : Cell::kFalse;
 }
 
 std::optional<bool> BinaryScoreTensor::get(UseCase use_case,
                                            Requirement requirement,
                                            const std::string& dataset) const noexcept {
-  auto it = cells_.find(
-      {static_cast<int>(use_case), static_cast<int>(requirement), dataset});
-  if (it == cells_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<std::string> BinaryScoreTensor::datasets() const {
-  std::vector<std::string> out;
-  for (const auto& [key, met] : cells_) out.push_back(std::get<2>(key));
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  auto it = std::lower_bound(datasets_.begin(), datasets_.end(), dataset);
+  if (it == datasets_.end() || *it != dataset) return std::nullopt;
+  const auto block = static_cast<std::size_t>(it - datasets_.begin());
+  const Cell cell = cells_[block * kBlock + slot(use_case, requirement)];
+  if (cell == Cell::kAbsent) return std::nullopt;
+  return cell == Cell::kTrue;
 }
 
 BinaryScoreTensor Scorer::binarize(const datasets::AggregateTable& aggregates,
@@ -36,14 +38,27 @@ BinaryScoreTensor Scorer::binarize(const datasets::AggregateTable& aggregates,
                                    const std::vector<std::string>& datasets,
                                    QualityLevel level) const {
   BinaryScoreTensor tensor;
+  // The region's cells are one sorted run; every lookup below stays
+  // inside it.
+  const std::span<const datasets::AggregateCell> cells =
+      aggregates.region_cells(region);
+  if (cells.empty()) return tensor;
+  const auto find = [&cells](const std::string& dataset,
+                             datasets::Metric metric)
+      -> const datasets::AggregateCell* {
+    for (const datasets::AggregateCell& cell : cells) {
+      if (cell.metric == metric && cell.dataset == dataset) return &cell;
+    }
+    return nullptr;
+  };
   for (UseCase use_case : kAllUseCases) {
     for (Requirement requirement : kAllRequirements) {
       auto threshold = thresholds_.get(use_case, requirement, level);
       if (!threshold.ok()) continue;  // unconfigured cell
       const datasets::Metric metric = requirement_metric(requirement);
       for (const std::string& dataset : datasets) {
-        auto cell = aggregates.get(region, dataset, metric);
-        if (!cell.ok()) continue;  // dataset doesn't cover this metric
+        const datasets::AggregateCell* cell = find(dataset, metric);
+        if (!cell) continue;  // dataset doesn't cover this metric
         tensor.set(use_case, requirement, dataset,
                    threshold->met_by(requirement, cell->value));
       }
@@ -57,7 +72,7 @@ Result<ScoreBreakdown> Scorer::score(const BinaryScoreTensor& tensor,
   ScoreBreakdown breakdown;
   breakdown.level = level;
   breakdown.binary = tensor;
-  const std::vector<std::string> datasets = tensor.datasets();
+  const std::vector<std::string>& datasets = tensor.datasets_;
 
   double iqb_numerator = 0.0;
   double iqb_denominator = 0.0;
@@ -74,11 +89,18 @@ Result<ScoreBreakdown> Scorer::score(const BinaryScoreTensor& tensor,
       // Eq. (1): requirement agreement score over present datasets.
       double agreement_numerator = 0.0;
       double agreement_denominator = 0.0;
-      for (const std::string& dataset : datasets) {
-        auto met = tensor.get(use_case, requirement, dataset);
-        if (!met) continue;
-        const int w_urd = weights_.dataset_weight(use_case, requirement, dataset);
-        agreement_numerator += static_cast<double>(w_urd) * (*met ? 1.0 : 0.0);
+      // Sum in dataset-name order (datasets_ is sorted): another order
+      // could change the last bits of every published score.
+      const std::size_t slot = BinaryScoreTensor::slot(use_case, requirement);
+      for (std::size_t d = 0; d < datasets.size(); ++d) {
+        const BinaryScoreTensor::Cell met =
+            tensor.cells_[d * BinaryScoreTensor::kBlock + slot];
+        if (met == BinaryScoreTensor::Cell::kAbsent) continue;
+        const int w_urd =
+            weights_.dataset_weight(use_case, requirement, datasets[d]);
+        agreement_numerator +=
+            static_cast<double>(w_urd) *
+            (met == BinaryScoreTensor::Cell::kTrue ? 1.0 : 0.0);
         agreement_denominator += static_cast<double>(w_urd);
       }
       if (agreement_denominator <= 0.0) {

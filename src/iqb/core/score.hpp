@@ -13,6 +13,7 @@
 // is recorded in ScoreBreakdown::coverage_warnings.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,18 +27,32 @@
 namespace iqb::core {
 
 /// The binary score tensor S_{u,r,d} for one region at one quality
-/// level. Cells may be absent (missing data).
+/// level. Cells may be absent (missing data). Stored flat: one block of
+/// [use case][requirement] cells per dataset, blocks in dataset-name
+/// order.
 class BinaryScoreTensor {
  public:
   void set(UseCase use_case, Requirement requirement, const std::string& dataset,
            bool met);
   std::optional<bool> get(UseCase use_case, Requirement requirement,
                           const std::string& dataset) const noexcept;
-  std::size_t size() const noexcept { return cells_.size(); }
-  std::vector<std::string> datasets() const;
+  std::size_t size() const noexcept { return size_; }
+  /// Datasets with at least one present cell, sorted by name.
+  std::vector<std::string> datasets() const { return datasets_; }
 
  private:
-  std::map<std::tuple<int, int, std::string>, bool> cells_;
+  friend class Scorer;  // walks the blocks by index
+  enum class Cell : std::uint8_t { kAbsent, kFalse, kTrue };
+  static constexpr std::size_t kBlock =
+      kAllUseCases.size() * kAllRequirements.size();
+  static std::size_t slot(UseCase use_case, Requirement requirement) noexcept {
+    return static_cast<std::size_t>(use_case) * kAllRequirements.size() +
+           static_cast<std::size_t>(requirement);
+  }
+
+  std::vector<std::string> datasets_;
+  std::vector<Cell> cells_;  ///< datasets_.size() blocks of kBlock.
+  std::size_t size_ = 0;     ///< Present cells.
 };
 
 /// Full decomposition of one region's IQB score.

@@ -1,7 +1,7 @@
 #include "iqb/datasets/aggregate.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <iterator>
 #include <optional>
 
 #include "iqb/obs/telemetry.hpp"
@@ -13,73 +13,185 @@ using util::ErrorCode;
 using util::make_error;
 using util::Result;
 
+namespace {
+
+/// Three-way key comparison in the table's (region, dataset, metric)
+/// order — std::string's own ordering, field by field.
+int compare_key(const AggregateCell& cell, std::string_view region,
+                std::string_view dataset, Metric metric) noexcept {
+  if (const int order = std::string_view(cell.region).compare(region)) {
+    return order;
+  }
+  if (const int order = std::string_view(cell.dataset).compare(dataset)) {
+    return order;
+  }
+  return static_cast<int>(cell.metric) - static_cast<int>(metric);
+}
+
+int compare_key(const AggregateCell& a, const AggregateCell& b) noexcept {
+  return compare_key(a, b.region, b.dataset, b.metric);
+}
+
+}  // namespace
+
+AggregateTable::AggregateTable(const AggregateTable& other)
+    : cells_(other.sorted()) {}
+
+AggregateTable::AggregateTable(AggregateTable&& other) noexcept
+    : cells_(std::move(other.cells_)), sorted_(other.sorted_.load()) {
+  other.cells_.clear();
+  other.sorted_.store(true);
+}
+
+AggregateTable& AggregateTable::operator=(const AggregateTable& other) {
+  if (this != &other) {
+    cells_ = other.sorted();
+    sorted_.store(true);
+  }
+  return *this;
+}
+
+AggregateTable& AggregateTable::operator=(AggregateTable&& other) noexcept {
+  if (this != &other) {
+    cells_ = std::move(other.cells_);
+    sorted_.store(other.sorted_.load());
+    other.cells_.clear();
+    other.sorted_.store(true);
+  }
+  return *this;
+}
+
 void AggregateTable::put(AggregateCell cell) {
-  Key key{cell.region, cell.dataset, static_cast<int>(cell.metric)};
-  cells_.insert_or_assign(std::move(key), std::move(cell));
+  if (!cells_.empty() && sorted_.load()) {
+    const int order = compare_key(cells_.back(), cell);
+    if (order == 0) {
+      cells_.back() = std::move(cell);
+      return;
+    }
+    if (order > 0) sorted_.store(false);
+  }
+  cells_.push_back(std::move(cell));
+}
+
+const std::vector<AggregateCell>& AggregateTable::sorted() const {
+  if (sorted_.load()) return cells_;
+  std::lock_guard<std::mutex> lock(sort_mutex_);
+  if (sorted_.load()) return cells_;
+  std::stable_sort(cells_.begin(), cells_.end(),
+                   [](const AggregateCell& a, const AggregateCell& b) {
+                     return compare_key(a, b) < 0;
+                   });
+  // The stable sort kept each key's cells in put order: keep the last.
+  auto out = cells_.begin();
+  for (auto it = cells_.begin(); it != cells_.end();) {
+    auto last = it;
+    while (last + 1 != cells_.end() && compare_key(*it, *(last + 1)) == 0) {
+      ++last;
+    }
+    if (out != last) *out = std::move(*last);
+    ++out;
+    it = last + 1;
+  }
+  cells_.erase(out, cells_.end());
+  sorted_.store(true);
+  return cells_;
+}
+
+const AggregateCell* AggregateTable::find(std::string_view region,
+                                          std::string_view dataset,
+                                          Metric metric) const {
+  const std::span<const AggregateCell> cells = region_cells(region);
+  const auto it = std::partition_point(
+      cells.begin(), cells.end(), [&](const AggregateCell& cell) {
+        return compare_key(cell, region, dataset, metric) < 0;
+      });
+  if (it == cells.end() || compare_key(*it, region, dataset, metric) != 0) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 Result<AggregateCell> AggregateTable::get(const std::string& region,
                                           const std::string& dataset,
                                           Metric metric) const {
-  auto it = cells_.find(Key{region, dataset, static_cast<int>(metric)});
-  if (it == cells_.end()) {
+  const AggregateCell* cell = find(region, dataset, metric);
+  if (!cell) {
     return make_error(ErrorCode::kNotFound,
                       "no aggregate for region='" + region + "' dataset='" +
                           dataset + "' metric='" +
                           std::string(metric_name(metric)) + "'");
   }
-  return it->second;
+  return *cell;
 }
 
 bool AggregateTable::contains(const std::string& region,
                               const std::string& dataset,
-                              Metric metric) const noexcept {
-  return cells_.find(Key{region, dataset, static_cast<int>(metric)}) !=
-         cells_.end();
+                              Metric metric) const {
+  return find(region, dataset, metric) != nullptr;
 }
 
-std::vector<AggregateCell> AggregateTable::cells() const {
-  std::vector<AggregateCell> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, cell] : cells_) out.push_back(cell);
-  return out;
+std::span<const AggregateCell> AggregateTable::region_cells(
+    std::string_view region) const {
+  const std::vector<AggregateCell>& cells = sorted();
+  // Keys sort region-major, so the region's cells are one contiguous
+  // run.
+  const auto first = std::partition_point(
+      cells.begin(), cells.end(),
+      [&](const AggregateCell& cell) { return cell.region < region; });
+  const auto last = std::partition_point(
+      first, cells.end(),
+      [&](const AggregateCell& cell) { return cell.region == region; });
+  return {first, last};
 }
 
 std::vector<AggregateCell> AggregateTable::cells_for_region(
     const std::string& region) const {
-  // Keys sort region-major, so the region's cells are one contiguous
-  // map range starting at the smallest possible key for that region.
-  std::vector<AggregateCell> out;
-  auto it = cells_.lower_bound(
-      Key{region, std::string(), std::numeric_limits<int>::min()});
-  for (; it != cells_.end() && std::get<0>(it->first) == region; ++it) {
-    out.push_back(it->second);
-  }
-  return out;
+  const std::span<const AggregateCell> cells = region_cells(region);
+  return {cells.begin(), cells.end()};
 }
 
 std::vector<std::string> AggregateTable::regions() const {
   std::vector<std::string> out;
-  for (const auto& [key, cell] : cells_) {
+  for (const AggregateCell& cell : sorted()) {
     if (out.empty() || out.back() != cell.region) out.push_back(cell.region);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 std::vector<std::string> AggregateTable::datasets() const {
   std::vector<std::string> out;
-  for (const auto& [key, cell] : cells_) out.push_back(cell.dataset);
+  for (const AggregateCell& cell : sorted()) out.push_back(cell.dataset);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 void AggregateTable::merge(const AggregateTable& other) {
-  for (const auto& [key, cell] : other.cells_) {
-    cells_.insert_or_assign(key, cell);
+  if (&other == this) return;  // every key collides with itself
+  const std::vector<AggregateCell>& theirs = other.sorted();
+  const std::vector<AggregateCell>& mine = sorted();
+  if (theirs.empty()) return;
+  if (mine.empty() || compare_key(mine.back(), theirs.front()) < 0) {
+    cells_.insert(cells_.end(), theirs.begin(), theirs.end());
+    return;
   }
+  std::vector<AggregateCell> merged;
+  merged.reserve(mine.size() + theirs.size());
+  auto a = cells_.begin();
+  auto b = theirs.begin();
+  while (a != cells_.end() && b != theirs.end()) {
+    const int order = compare_key(*a, *b);
+    if (order < 0) {
+      merged.push_back(std::move(*a++));
+      continue;
+    }
+    if (order == 0) ++a;  // the other table wins the collision
+    merged.push_back(*b++);
+  }
+  merged.insert(merged.end(), std::make_move_iterator(a),
+                std::make_move_iterator(cells_.end()));
+  merged.insert(merged.end(), b, theirs.end());
+  cells_ = std::move(merged);
 }
 
 double effective_percentile(const AggregationPolicy& policy,

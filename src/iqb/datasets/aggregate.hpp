@@ -12,10 +12,12 @@
 // intent, and the ablation bench quantifies the difference.
 #pragma once
 
-#include <map>
+#include <atomic>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <vector>
 
 #include "iqb/datasets/store.hpp"
@@ -65,9 +67,26 @@ struct AggregateCell {
   std::optional<stats::ConfidenceInterval> ci;
 };
 
-/// Keyed collection of aggregate cells.
+/// Keyed collection of aggregate cells: a flat vector sorted by
+/// (region, dataset, metric), so a region's cells are one contiguous
+/// run and lookups are binary searches that copy nothing.
+///
+/// put() appends in O(1) when cells arrive in key order — what
+/// aggregate() and the wire parse produce. An out-of-order put also
+/// appends and marks the table unsorted; the next read sorts it once
+/// (a stable sort keeping the last cell put per key), so unordered
+/// input costs O(n log n), never O(n^2). That sort is synchronized:
+/// concurrent const reads stay safe, as for any const object.
 class AggregateTable {
  public:
+  AggregateTable() = default;
+  AggregateTable(const AggregateTable& other);
+  AggregateTable(AggregateTable&& other) noexcept;
+  AggregateTable& operator=(const AggregateTable& other);
+  AggregateTable& operator=(AggregateTable&& other) noexcept;
+  ~AggregateTable() = default;
+
+  /// Insert or overwrite the cell with this one's key.
   void put(AggregateCell cell);
 
   /// Lookup; error with kNotFound if the cell is absent.
@@ -75,24 +94,37 @@ class AggregateTable {
                                   const std::string& dataset,
                                   Metric metric) const;
 
-  bool contains(const std::string& region, const std::string& dataset,
-                Metric metric) const noexcept;
+  /// Borrowing lookup: the cell, or null if absent. Valid until the
+  /// table is next modified.
+  const AggregateCell* find(std::string_view region, std::string_view dataset,
+                            Metric metric) const;
 
-  std::size_t size() const noexcept { return cells_.size(); }
-  std::vector<AggregateCell> cells() const;
-  /// Cells of one region, in the same (dataset, metric) order a
-  /// filtered cells() walk would yield — a range scan of the
-  /// region-major key space, not a full-table pass.
+  bool contains(const std::string& region, const std::string& dataset,
+                Metric metric) const;
+
+  std::size_t size() const { return sorted().size(); }
+  /// Every cell in key order.
+  const std::vector<AggregateCell>& cells() const { return sorted(); }
+  /// One region's cells in (dataset, metric) order, borrowed (empty if
+  /// the region is absent). Valid until the table is next modified.
+  std::span<const AggregateCell> region_cells(std::string_view region) const;
+  /// Copy of region_cells().
   std::vector<AggregateCell> cells_for_region(const std::string& region) const;
   std::vector<std::string> regions() const;
   std::vector<std::string> datasets() const;
 
-  /// Merge another table; colliding cells are overwritten.
+  /// Merge another table; on a key collision the other table's cell
+  /// wins. One linear pass over both tables.
   void merge(const AggregateTable& other);
 
  private:
-  using Key = std::tuple<std::string, std::string, int>;
-  std::map<Key, AggregateCell> cells_;
+  /// The cells, sorting them first if an out-of-order put left them
+  /// unsorted.
+  const std::vector<AggregateCell>& sorted() const;
+
+  mutable std::vector<AggregateCell> cells_;
+  mutable std::atomic<bool> sorted_{true};
+  mutable std::mutex sort_mutex_;
 };
 
 /// Effective percentile level actually evaluated for a metric under a

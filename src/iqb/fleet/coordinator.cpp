@@ -19,6 +19,10 @@ FuseOutput fuse(const core::IqbConfig& config,
   robust::IngestHealth health;
   std::set<std::string> open_breakers;
   std::set<std::string> stale_regions;
+  // Each stale view's regions, listed once per gather for the tier-C
+  // marking below.
+  std::vector<std::pair<const ShardView*, std::vector<std::string>>>
+      stale_views;
   std::uint64_t max_cycle = 0;
 
   for (const ShardView& view : views) {
@@ -39,9 +43,9 @@ FuseOutput fuse(const core::IqbConfig& config,
     max_cycle = std::max(max_cycle, view.payload->cycle);
     if (view.stale) {
       ++output.shards_cached;
-      for (const std::string& region : view.payload->table.regions()) {
-        stale_regions.insert(region);
-      }
+      std::vector<std::string> owned = view.payload->table.regions();
+      stale_regions.insert(owned.begin(), owned.end());
+      stale_views.emplace_back(&view, std::move(owned));
     } else {
       ++output.shards_fresh;
     }
@@ -70,15 +74,12 @@ FuseOutput fuse(const core::IqbConfig& config,
       // The region's data is a previous cycle's: the score stands but
       // cannot be corroborated this cycle, so confidence drops to the
       // single-source tier and the report names the silent shard.
-      for (const ShardView& view : views) {
-        if (view.stale && view.payload) {
-          const auto owned = view.payload->table.regions();
-          if (std::find(owned.begin(), owned.end(), region) != owned.end()) {
-            scored.high.degradation.open_breakers.push_back("shard:" +
-                                                            view.name);
-            scored.minimum.degradation.open_breakers.push_back("shard:" +
-                                                               view.name);
-          }
+      for (const auto& [view, owned] : stale_views) {
+        if (std::binary_search(owned.begin(), owned.end(), region)) {
+          scored.high.degradation.open_breakers.push_back("shard:" +
+                                                          view->name);
+          scored.minimum.degradation.open_breakers.push_back("shard:" +
+                                                             view->name);
         }
       }
       scored.high.degradation.tier = robust::ConfidenceTier::kC;
@@ -90,7 +91,7 @@ FuseOutput fuse(const core::IqbConfig& config,
     }
     results.push_back(std::move(scored));
   }
-  output.scores_json = report::to_json(results).dump(2) + "\n";
+  output.scores_json = report::scores_document(results);
 
   ShardPayload fused_payload;
   fused_payload.cycle = max_cycle;

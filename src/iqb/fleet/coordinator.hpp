@@ -36,8 +36,8 @@ namespace iqb::fleet {
 /// Result of fusing one cycle's shard views.
 struct FuseOutput {
   /// Rendered exactly like WatchDaemon renders a cycle
-  /// (report::to_json(...).dump(2) + "\n") — byte-identical to a
-  /// single daemon when every shard is fresh.
+  /// (report::scores_document) — byte-identical to a single daemon
+  /// when every shard is fresh.
   std::string scores_json;
   /// The fused table re-serialized as a shard payload, so a
   /// coordinator can itself be scatter-gathered by a higher tier.

@@ -10,26 +10,26 @@ namespace iqb::fleet {
 
 namespace {
 
-using util::JsonArray;
-using util::JsonObject;
 using util::JsonValue;
 
-JsonValue cell_to_json(const datasets::AggregateCell& cell) {
-  JsonObject out;
-  out.emplace("region", cell.region);
-  out.emplace("dataset", cell.dataset);
-  out.emplace("metric", std::string(datasets::metric_name(cell.metric)));
-  out.emplace("value", cell.value);
-  out.emplace("samples", static_cast<std::int64_t>(cell.sample_count));
+/// One cell object, members in key order (what a JsonObject would
+/// hold: ci, dataset, metric, region, samples, value).
+void write_cell(util::JsonWriter& writer, const datasets::AggregateCell& cell) {
+  writer.begin_object();
   if (cell.ci) {
-    JsonObject ci;
-    ci.emplace("point", cell.ci->point);
-    ci.emplace("lower", cell.ci->lower);
-    ci.emplace("upper", cell.ci->upper);
-    ci.emplace("level", cell.ci->level);
-    out.emplace("ci", std::move(ci));
+    writer.key("ci").begin_object();
+    writer.key("level").value(cell.ci->level);
+    writer.key("lower").value(cell.ci->lower);
+    writer.key("point").value(cell.ci->point);
+    writer.key("upper").value(cell.ci->upper);
+    writer.end_object();
   }
-  return out;
+  writer.key("dataset").value(cell.dataset);
+  writer.key("metric").value(datasets::metric_name(cell.metric));
+  writer.key("region").value(cell.region);
+  writer.key("samples").value(static_cast<std::int64_t>(cell.sample_count));
+  writer.key("value").value(cell.value);
+  writer.end_object();
 }
 
 util::Result<datasets::AggregateCell> cell_from_json(const JsonValue& value) {
@@ -59,15 +59,13 @@ util::Result<datasets::AggregateCell> cell_from_json(const JsonValue& value) {
                             "negative sample count for " + cell.region);
   }
   cell.sample_count = static_cast<std::size_t>(samples.value());
-  if (value.contains("ci")) {
-    auto ci = value.get_object("ci");
-    if (!ci.ok()) return ci.error();
-    const JsonValue ci_value{ci.value()};
+  if (const JsonValue* ci_value = value.find("ci")) {
+    if (!ci_value->is_object()) return value.get_object("ci").error();
     stats::ConfidenceInterval interval;
-    auto point = ci_value.get_number("point");
-    auto lower = ci_value.get_number("lower");
-    auto upper = ci_value.get_number("upper");
-    auto level = ci_value.get_number("level");
+    auto point = ci_value->get_number("point");
+    auto lower = ci_value->get_number("lower");
+    auto upper = ci_value->get_number("upper");
+    auto level = ci_value->get_number("level");
     if (!point.ok() || !lower.ok() || !upper.ok() || !level.ok()) {
       return util::make_error(util::ErrorCode::kParseError,
                               "malformed confidence interval for " +
@@ -85,30 +83,32 @@ util::Result<datasets::AggregateCell> cell_from_json(const JsonValue& value) {
 }  // namespace
 
 std::string serialize_shard_payload(const ShardPayload& payload) {
-  JsonObject root;
-  root.emplace("version", static_cast<std::int64_t>(payload.version));
-  root.emplace("cycle", static_cast<std::int64_t>(payload.cycle));
-  root.emplace("trace", payload.trace_id);
-
-  JsonArray cells;
+  // Members in key order: cells, cycle, health, trace, version.
+  std::string out;
+  util::JsonWriter writer(out);
+  writer.begin_object();
+  writer.key("cells").begin_array();
   for (const datasets::AggregateCell& cell : payload.table.cells()) {
-    cells.push_back(cell_to_json(cell));
+    write_cell(writer, cell);
   }
-  root.emplace("cells", std::move(cells));
-
-  JsonObject health;
-  health.emplace("rows_quarantined",
-                 static_cast<std::int64_t>(payload.health.rows_quarantined));
-  health.emplace("sources_retried",
-                 static_cast<std::int64_t>(payload.health.sources_retried));
-  JsonArray breakers;
+  writer.end_array();
+  writer.key("cycle").value(static_cast<std::int64_t>(payload.cycle));
+  writer.key("health").begin_object();
+  writer.key("open_breakers").begin_array();
   for (const std::string& breaker : payload.health.open_breakers) {
-    breakers.emplace_back(breaker);
+    writer.value(breaker);
   }
-  health.emplace("open_breakers", std::move(breakers));
-  root.emplace("health", std::move(health));
-
-  return JsonValue(std::move(root)).dump() + "\n";
+  writer.end_array();
+  writer.key("rows_quarantined")
+      .value(static_cast<std::int64_t>(payload.health.rows_quarantined));
+  writer.key("sources_retried")
+      .value(static_cast<std::int64_t>(payload.health.sources_retried));
+  writer.end_object();
+  writer.key("trace").value(payload.trace_id);
+  writer.key("version").value(static_cast<std::int64_t>(payload.version));
+  writer.end_object();
+  out.push_back('\n');
+  return out;
 }
 
 util::Result<ShardPayload> parse_shard_payload(std::string_view text) {
@@ -140,28 +140,33 @@ util::Result<ShardPayload> parse_shard_payload(std::string_view text) {
   if (!trace.ok()) return trace.error();
   payload.trace_id = std::move(trace).value();
 
-  auto cells = root.get_array("cells");
-  if (!cells.ok()) return cells.error();
-  for (const JsonValue& cell_value : cells.value()) {
+  // Subtrees are read in place; the checked getters run only to word
+  // the error.
+  const JsonValue* cells = root.find("cells");
+  if (!cells || !cells->is_array()) return root.get_array("cells").error();
+  for (const JsonValue& cell_value : cells->as_array()) {
     auto cell = cell_from_json(cell_value);
     if (!cell.ok()) return cell.error();
     payload.table.put(std::move(cell).value());
   }
 
-  auto health = root.get_object("health");
-  if (!health.ok()) return health.error();
-  const JsonValue health_value{health.value()};
-  auto quarantined = health_value.get_number("rows_quarantined");
+  const JsonValue* health = root.find("health");
+  if (!health || !health->is_object()) {
+    return root.get_object("health").error();
+  }
+  auto quarantined = health->get_number("rows_quarantined");
   if (!quarantined.ok()) return quarantined.error();
   payload.health.rows_quarantined =
       static_cast<std::size_t>(std::max(quarantined.value(), 0.0));
-  auto retried = health_value.get_number("sources_retried");
+  auto retried = health->get_number("sources_retried");
   if (!retried.ok()) return retried.error();
   payload.health.sources_retried =
       static_cast<std::size_t>(std::max(retried.value(), 0.0));
-  auto breakers = health_value.get_array("open_breakers");
-  if (!breakers.ok()) return breakers.error();
-  for (const JsonValue& breaker : breakers.value()) {
+  const JsonValue* breakers = health->find("open_breakers");
+  if (!breakers || !breakers->is_array()) {
+    return health->get_array("open_breakers").error();
+  }
+  for (const JsonValue& breaker : breakers->as_array()) {
     if (!breaker.is_string()) {
       return util::make_error(util::ErrorCode::kParseError,
                               "open_breakers entries must be strings");

@@ -7,7 +7,7 @@
 // serialization is *exact*: aggregate values are doubles, and the
 // coordinator's fused /scores must be byte-identical to a single
 // daemon's over the same records. Numbers therefore ride through
-// util::JsonValue's %.17g formatting and from_chars parsing, which
+// util::JsonWriter's %.17g formatting and from_chars parsing, which
 // round-trip every finite double bit-for-bit (asserted in tests).
 //
 // The payload is versioned: a coordinator rejects payloads whose

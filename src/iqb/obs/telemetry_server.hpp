@@ -51,7 +51,7 @@ const std::vector<std::string>& default_telemetry_paths();
 struct ScoreSnapshot {
   std::uint64_t cycle = 0;       ///< 1-based completed-cycle ordinal.
   std::string trace_id;          ///< The cycle's correlation id.
-  std::string scores_json;       ///< report::to_json dump, ready to serve.
+  std::string scores_json;       ///< report::scores_document, ready to serve.
   bool tier_c = false;           ///< Any region at confidence tier C.
   std::vector<std::string> tier_c_regions;
   /// True when the snapshot was recovered from a checkpoint after a

@@ -188,7 +188,113 @@ JsonValue breakdown_to_json(const core::ScoreBreakdown& breakdown) {
   return object;
 }
 
+/// Use cases in the byte order of their names: the order a JsonObject
+/// keyed by name holds them in.
+const std::vector<UseCase>& use_cases_by_name() {
+  static const std::vector<UseCase> order = [] {
+    std::vector<UseCase> out(core::kAllUseCases.begin(),
+                             core::kAllUseCases.end());
+    std::sort(out.begin(), out.end(), [](UseCase a, UseCase b) {
+      return core::use_case_name(a) < core::use_case_name(b);
+    });
+    return out;
+  }();
+  return order;
+}
+
+/// (use case, requirement) pairs in the byte order of their
+/// "use_case.requirement" keys.
+struct RequirementKey {
+  std::string name;
+  std::pair<UseCase, Requirement> key;
+};
+const std::vector<RequirementKey>& requirement_keys_by_name() {
+  static const std::vector<RequirementKey> order = [] {
+    std::vector<RequirementKey> out;
+    for (UseCase use_case : core::kAllUseCases) {
+      for (Requirement requirement : core::kAllRequirements) {
+        out.push_back({std::string(core::use_case_name(use_case)) + "." +
+                           std::string(core::requirement_name(requirement)),
+                       {use_case, requirement}});
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const RequirementKey& a, const RequirementKey& b) {
+                return a.name < b.name;
+              });
+    return out;
+  }();
+  return order;
+}
+
+void write_strings(util::JsonWriter& writer,
+                   const std::vector<std::string>& strings) {
+  writer.begin_array();
+  for (const std::string& text : strings) writer.value(text);
+  writer.end_array();
+}
+
+/// breakdown_to_json's object, member by member in key order.
+void write_breakdown(util::JsonWriter& writer,
+                     const core::ScoreBreakdown& breakdown) {
+  writer.begin_object();
+  writer.key("coverage_warnings");
+  write_strings(writer, breakdown.coverage_warnings);
+
+  const robust::DegradationReport& degradation = breakdown.degradation;
+  writer.key("degradation").begin_object();
+  writer.key("missing_datasets");
+  write_strings(writer, degradation.missing_datasets);
+  writer.key("open_breakers");
+  write_strings(writer, degradation.open_breakers);
+  writer.key("present_datasets");
+  write_strings(writer, degradation.present_datasets);
+  writer.key("rows_quarantined")
+      .value(static_cast<double>(degradation.rows_quarantined));
+  writer.key("tier").value(robust::confidence_tier_name(degradation.tier));
+  writer.end_object();
+
+  writer.key("iqb_score").value(breakdown.iqb_score);
+  writer.key("level").value(core::quality_level_name(breakdown.level));
+  writer.key("requirement_scores").begin_object();
+  for (const RequirementKey& entry : requirement_keys_by_name()) {
+    auto it = breakdown.requirement_scores.find(entry.key);
+    if (it != breakdown.requirement_scores.end()) {
+      writer.key(entry.name).value(it->second);
+    }
+  }
+  writer.end_object();
+  writer.key("use_case_scores").begin_object();
+  for (UseCase use_case : use_cases_by_name()) {
+    auto it = breakdown.use_case_scores.find(use_case);
+    if (it != breakdown.use_case_scores.end()) {
+      writer.key(core::use_case_name(use_case)).value(it->second);
+    }
+  }
+  writer.end_object();
+  writer.end_object();
+}
+
 }  // namespace
+
+std::string scores_document(std::span<const RegionResult> results) {
+  std::string out;
+  util::JsonWriter writer(out, 2);
+  writer.begin_object().key("regions").begin_array();
+  for (const RegionResult& result : results) {
+    writer.begin_object();
+    writer.key("grade").value(core::grade_name(result.grade));
+    writer.key("high");
+    write_breakdown(writer, result.high);
+    writer.key("minimum");
+    write_breakdown(writer, result.minimum);
+    writer.key("region").value(result.region);
+    writer.end_object();
+  }
+  writer.end_array().end_object();
+  out.push_back('\n');
+  return out;
+}
 
 JsonValue to_json(std::span<const RegionResult> results) {
   JsonArray regions;

@@ -4,7 +4,8 @@
 //  * scorecard()        — fixed-width console card for one region,
 //                         with an ASCII barometer gauge.
 //  * comparison_table() — markdown table across regions.
-//  * to_json()          — machine-readable result export.
+//  * scores_document()  — the served /scores JSON document.
+//  * to_json()          — the same export as a JsonValue tree.
 //  * to_csv()           — flat per-use-case rows for spreadsheets.
 #pragma once
 
@@ -28,7 +29,16 @@ std::string scorecard(const core::RegionResult& result);
 /// high/minimum scores, grade, and per-use-case high scores.
 std::string comparison_table(std::span<const core::RegionResult> results);
 
-/// JSON export of full results (scores, breakdowns, warnings).
+/// The /scores document: full results (scores, breakdowns, warnings)
+/// as pretty-printed JSON with a trailing newline — the exact bytes
+/// iqbd and the fleet coordinator serve and `iqbctl score --format
+/// json` prints. Streamed through util::JsonWriter; equal to
+/// to_json(results).dump(2) + "\n".
+std::string scores_document(std::span<const core::RegionResult> results);
+
+/// The same export as a JsonValue tree. No serving path builds it; it
+/// is the reference that tests (and the benchmark) compare
+/// scores_document() against.
 util::JsonValue to_json(std::span<const core::RegionResult> results);
 
 /// CSV with one row per (region, use case): region, use_case,

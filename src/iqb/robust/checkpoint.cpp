@@ -42,22 +42,26 @@ std::uint64_t number_or_zero(const util::JsonValue& object,
 }  // namespace
 
 std::string Checkpoint::encode() const {
-  util::JsonObject payload;
-  payload.emplace("cycle", static_cast<std::int64_t>(cycle));
-  payload.emplace("cycles_attempted",
-                  static_cast<std::int64_t>(cycles_attempted));
-  payload.emplace("cycles_failed", static_cast<std::int64_t>(cycles_failed));
-  payload.emplace("trace_id", trace_id);
-  payload.emplace("scores_json", scores_json);
-  payload.emplace("tier_c", tier_c);
-  util::JsonArray regions;
-  for (const std::string& region : tier_c_regions) {
-    regions.emplace_back(region);
-  }
-  payload.emplace("tier_c_regions", std::move(regions));
+  // Members in key order, streamed: the scores document is escaped
+  // once, straight into the body.
+  std::string body;
+  body.reserve(scores_json.size() + scores_json.size() / 4 + 256);
+  util::JsonWriter writer(body);
+  writer.begin_object();
+  writer.key("cycle").value(static_cast<std::int64_t>(cycle));
+  writer.key("cycles_attempted")
+      .value(static_cast<std::int64_t>(cycles_attempted));
+  writer.key("cycles_failed").value(static_cast<std::int64_t>(cycles_failed));
+  writer.key("scores_json").value(scores_json);
+  writer.key("tier_c").value(tier_c);
+  writer.key("tier_c_regions").begin_array();
+  for (const std::string& region : tier_c_regions) writer.value(region);
+  writer.end_array();
+  writer.key("trace_id").value(trace_id);
+  writer.end_object();
 
-  const std::string body = util::JsonValue(std::move(payload)).dump();
   std::string out = kMagic;
+  out.reserve(body.size() + 64);
   out += ' ';
   out += std::to_string(kCheckpointVersion);
   out += ' ';
@@ -114,17 +118,22 @@ util::Result<Checkpoint> Checkpoint::decode(std::string_view data) {
   checkpoint.cycle = number_or_zero(*parsed, "cycle");
   checkpoint.cycles_attempted = number_or_zero(*parsed, "cycles_attempted");
   checkpoint.cycles_failed = number_or_zero(*parsed, "cycles_failed");
-  if (auto trace = parsed->get_string("trace_id"); trace.ok()) {
-    checkpoint.trace_id = std::move(trace).value();
+  if (const util::JsonValue* trace = parsed->find("trace_id");
+      trace && trace->is_string()) {
+    checkpoint.trace_id = trace->as_string();
   }
-  auto scores = parsed->get_string("scores_json");
-  if (!scores.ok()) return reject("payload missing scores_json");
-  checkpoint.scores_json = std::move(scores).value();
-  if (auto tier_c = parsed->get_bool("tier_c"); tier_c.ok()) {
-    checkpoint.tier_c = tier_c.value();
+  const util::JsonValue* scores = parsed->find("scores_json");
+  if (!scores || !scores->is_string()) {
+    return reject("payload missing scores_json");
   }
-  if (auto regions = parsed->get_array("tier_c_regions"); regions.ok()) {
-    for (const util::JsonValue& region : regions.value()) {
+  checkpoint.scores_json = scores->as_string();
+  if (const util::JsonValue* tier_c = parsed->find("tier_c");
+      tier_c && tier_c->is_bool()) {
+    checkpoint.tier_c = tier_c->as_bool();
+  }
+  if (const util::JsonValue* regions = parsed->find("tier_c_regions");
+      regions && regions->is_array()) {
+    for (const util::JsonValue& region : regions->as_array()) {
       if (region.is_string()) {
         checkpoint.tier_c_regions.push_back(region.as_string());
       }

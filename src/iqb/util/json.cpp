@@ -1,9 +1,9 @@
 #include "iqb/util/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace iqb::util {
 
@@ -224,22 +224,102 @@ class Parser {
   int max_depth_;
 };
 
-void indent_to(std::string& out, int indent, int depth) {
-  out.push_back('\n');
-  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
+/// kEscape[byte]: 0 to copy the byte as is, else the letter after the
+/// backslash ('u' writes \u00XX).
+constexpr std::array<char, 256> kEscape = [] {
+  std::array<char, 256> table{};
+  for (std::size_t c = 0; c < 0x20; ++c) table[c] = 'u';
+  table['"'] = '"';
+  table['\\'] = '\\';
+  table['\b'] = 'b';
+  table['\f'] = 'f';
+  table['\n'] = 'n';
+  table['\r'] = 'r';
+  table['\t'] = 't';
+  return table;
+}();
+
+/// Bytes an escape adds: 0, 1 (\n) or 5 (\u00XX).
+constexpr std::array<std::uint8_t, 256> kEscapeGrowth = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (std::size_t c = 0; c < table.size(); ++c) {
+    table[c] = kEscape[c] == 0 ? 0 : kEscape[c] == 'u' ? 5 : 1;
+  }
+  return table;
+}();
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Size the output exactly, then fill it through a pointer: the
+  // served documents escape a quote or newline every few bytes, where
+  // an append per escape site dominated the cost.
+  std::size_t escaped_size = text.size();
+  for (const char c : text) {
+    escaped_size += kEscapeGrowth[static_cast<unsigned char>(c)];
+  }
+  if (escaped_size == text.size()) {
+    out.append(text);
+    return;
+  }
+  const std::size_t start = out.size();
+  out.resize(start + escaped_size);
+  char* dst = out.data() + start;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    const char escape = kEscape[byte];
+    if (escape == 0) {
+      *dst++ = c;
+      continue;
+    }
+    *dst++ = '\\';
+    *dst++ = escape;
+    if (escape == 'u') {
+      *dst++ = '0';
+      *dst++ = '0';
+      *dst++ = kHex[byte >> 4];
+      *dst++ = kHex[byte & 0xF];
+    }
+  }
 }
 
-std::string format_number(double v) {
+void append_json_number(std::string& out, double number) {
   // Integers (the common case for weights) render without a decimal
-  // point so configs stay human-friendly and round-trip exactly.
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+  // point so configs stay human-friendly and round-trip exactly. The
+  // precision overloads of to_chars are specified as printf's %.0f and
+  // %.17g, without printf's locale and format-string overhead.
+  char buffer[64];
+  std::to_chars_result written{};
+  if (std::isfinite(number) && number == std::floor(number) &&
+      std::abs(number) < 1e15) {
+    written = std::to_chars(buffer, buffer + sizeof buffer, number,
+                            std::chars_format::fixed, 0);
+  } else {
+    written = std::to_chars(buffer, buffer + sizeof buffer, number,
+                            std::chars_format::general, 17);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  out.append(buffer, written.ptr);
+}
+
+void write_tree(JsonWriter& writer, const JsonValue& value) {
+  switch (value.type()) {
+    case JsonType::kNull: writer.null(); break;
+    case JsonType::kBool: writer.value(value.as_bool()); break;
+    case JsonType::kNumber: writer.value(value.as_number()); break;
+    case JsonType::kString: writer.value(value.as_string()); break;
+    case JsonType::kArray:
+      writer.begin_array();
+      for (const JsonValue& item : value.as_array()) write_tree(writer, item);
+      writer.end_array();
+      break;
+    case JsonType::kObject:
+      writer.begin_object();
+      for (const auto& [key, member] : value.as_object()) {
+        writer.key(key);
+        write_tree(writer, member);
+      }
+      writer.end_object();
+      break;
+  }
 }
 
 }  // namespace
@@ -250,17 +330,23 @@ Result<JsonValue> JsonValue::get(std::string_view key) const {
                       "JSON value is not an object (looking up '" +
                           std::string(key) + "')");
   }
-  auto it = obj_.find(std::string(key));
-  if (it == obj_.end()) {
+  const JsonValue* member = find(key);
+  if (!member) {
     return make_error(ErrorCode::kNotFound,
                       "missing JSON key '" + std::string(key) + "'");
   }
-  return it->second;
+  return *member;
+}
+
+const JsonValue* JsonValue::find(std::string_view key) const noexcept {
+  if (!is_object()) return nullptr;
+  auto it = obj_.find(key);
+  return it == obj_.end() ? nullptr : &it->second;
 }
 
 Result<double> JsonValue::get_number(std::string_view key) const {
-  auto v = get(key);
-  if (!v.ok()) return v.error();
+  const JsonValue* v = find(key);
+  if (!v) return get(key).error();
   if (!v->is_number()) {
     return make_error(ErrorCode::kParseError,
                       "JSON key '" + std::string(key) + "' is not a number");
@@ -269,8 +355,8 @@ Result<double> JsonValue::get_number(std::string_view key) const {
 }
 
 Result<std::string> JsonValue::get_string(std::string_view key) const {
-  auto v = get(key);
-  if (!v.ok()) return v.error();
+  const JsonValue* v = find(key);
+  if (!v) return get(key).error();
   if (!v->is_string()) {
     return make_error(ErrorCode::kParseError,
                       "JSON key '" + std::string(key) + "' is not a string");
@@ -279,8 +365,8 @@ Result<std::string> JsonValue::get_string(std::string_view key) const {
 }
 
 Result<bool> JsonValue::get_bool(std::string_view key) const {
-  auto v = get(key);
-  if (!v.ok()) return v.error();
+  const JsonValue* v = find(key);
+  if (!v) return get(key).error();
   if (!v->is_bool()) {
     return make_error(ErrorCode::kParseError,
                       "JSON key '" + std::string(key) + "' is not a boolean");
@@ -289,8 +375,8 @@ Result<bool> JsonValue::get_bool(std::string_view key) const {
 }
 
 Result<JsonArray> JsonValue::get_array(std::string_view key) const {
-  auto v = get(key);
-  if (!v.ok()) return v.error();
+  const JsonValue* v = find(key);
+  if (!v) return get(key).error();
   if (!v->is_array()) {
     return make_error(ErrorCode::kParseError,
                       "JSON key '" + std::string(key) + "' is not an array");
@@ -299,8 +385,8 @@ Result<JsonArray> JsonValue::get_array(std::string_view key) const {
 }
 
 Result<JsonObject> JsonValue::get_object(std::string_view key) const {
-  auto v = get(key);
-  if (!v.ok()) return v.error();
+  const JsonValue* v = find(key);
+  if (!v) return get(key).error();
   if (!v->is_object()) {
     return make_error(ErrorCode::kParseError,
                       "JSON key '" + std::string(key) + "' is not an object");
@@ -309,7 +395,7 @@ Result<JsonObject> JsonValue::get_object(std::string_view key) const {
 }
 
 bool JsonValue::contains(std::string_view key) const noexcept {
-  return is_object() && obj_.find(std::string(key)) != obj_.end();
+  return find(key) != nullptr;
 }
 
 bool JsonValue::operator==(const JsonValue& other) const noexcept {
@@ -327,83 +413,82 @@ bool JsonValue::operator==(const JsonValue& other) const noexcept {
 
 std::string JsonValue::dump(int indent) const {
   std::string out;
-  dump_impl(out, indent, 0);
+  JsonWriter writer(out, indent);
+  write_tree(writer, *this);
   return out;
-}
-
-void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
-  switch (type_) {
-    case JsonType::kNull: out += "null"; break;
-    case JsonType::kBool: out += bool_ ? "true" : "false"; break;
-    case JsonType::kNumber: out += format_number(num_); break;
-    case JsonType::kString:
-      out.push_back('"');
-      out += json_escape(str_);
-      out.push_back('"');
-      break;
-    case JsonType::kArray: {
-      if (arr_.empty()) {
-        out += "[]";
-        break;
-      }
-      out.push_back('[');
-      bool first = true;
-      for (const auto& item : arr_) {
-        if (!first) out.push_back(',');
-        first = false;
-        if (indent > 0) indent_to(out, indent, depth + 1);
-        item.dump_impl(out, indent, depth + 1);
-      }
-      if (indent > 0) indent_to(out, indent, depth);
-      out.push_back(']');
-      break;
-    }
-    case JsonType::kObject: {
-      if (obj_.empty()) {
-        out += "{}";
-        break;
-      }
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [key, value] : obj_) {
-        if (!first) out.push_back(',');
-        first = false;
-        if (indent > 0) indent_to(out, indent, depth + 1);
-        out.push_back('"');
-        out += json_escape(key);
-        out += indent > 0 ? "\": " : "\":";
-        value.dump_impl(out, indent, depth + 1);
-      }
-      if (indent > 0) indent_to(out, indent, depth);
-      out.push_back('}');
-      break;
-    }
-  }
 }
 
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
+}
+
+void JsonWriter::newline(std::size_t depth) {
+  out_.push_back('\n');
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (has_items_.empty()) return;  // the document's root value
+  if (has_items_.back()) out_.push_back(',');
+  has_items_.back() = true;
+  if (indent_ > 0) newline(has_items_.size());
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  before_value();
+  out_.push_back(bracket);
+  has_items_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  const bool had_items = has_items_.back();
+  has_items_.pop_back();
+  if (had_items && indent_ > 0) newline(has_items_.size());
+  out_.push_back(bracket);
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  before_value();
+  out_.push_back('"');
+  append_json_escaped(out_, name);
+  out_ += indent_ > 0 ? "\": " : "\":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view text) {
+  before_value();
+  out_.push_back('"');
+  append_json_escaped(out_, text);
+  out_.push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double number) {
+  before_value();
+  append_json_number(out_, number);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool flag) {
+  before_value();
+  out_ += flag ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  before_value();
+  out_ += "null";
+  return *this;
 }
 
 Result<JsonValue> parse_json(std::string_view text, int max_depth) {

@@ -23,8 +23,9 @@ class JsonValue;
 
 using JsonArray = std::vector<JsonValue>;
 /// std::map keeps serialization deterministic (sorted keys), which we
-/// rely on for config round-trip tests.
-using JsonObject = std::map<std::string, JsonValue>;
+/// rely on for config round-trip tests. The transparent comparator
+/// lets find() look a key up by string_view without allocating.
+using JsonObject = std::map<std::string, JsonValue, std::less<>>;
 
 enum class JsonType { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -62,8 +63,12 @@ class JsonValue {
   JsonObject& as_object() noexcept { return obj_; }
 
   /// Checked object lookup; error if this is not an object or the key
-  /// is missing.
+  /// is missing. Returns a deep copy — prefer find() for subtrees.
   Result<JsonValue> get(std::string_view key) const;
+
+  /// Borrowing object lookup: the member named `key`, or null if this
+  /// is not an object or has no such key. Allocates nothing.
+  const JsonValue* find(std::string_view key) const noexcept;
 
   /// Checked typed lookups used by config loading.
   Result<double> get_number(std::string_view key) const;
@@ -76,14 +81,12 @@ class JsonValue {
   bool contains(std::string_view key) const noexcept;
 
   /// Serialize. Compact by default; indent > 0 pretty-prints with that
-  /// many spaces per level.
+  /// many spaces per level. The bytes are JsonWriter's.
   std::string dump(int indent = 0) const;
 
   bool operator==(const JsonValue& other) const noexcept;
 
  private:
-  void dump_impl(std::string& out, int indent, int depth) const;
-
   JsonType type_;
   bool bool_ = false;
   double num_ = 0.0;
@@ -99,5 +102,58 @@ Result<JsonValue> parse_json(std::string_view text, int max_depth = 256);
 /// Escape a string per JSON rules (used by the serializer; exposed for
 /// report renderers emitting JSON fragments).
 std::string json_escape(std::string_view s);
+
+/// The one JSON serializer: appends a document straight to a string,
+/// compact (indent 0) or pretty-printed with `indent` spaces per level,
+/// in exactly the bytes JsonValue::dump(indent) produces for the same
+/// tree — so a document can be streamed from native structures without
+/// building a JsonValue tree first. Callers emit object members in
+/// sorted key order (what a JsonObject would hold) and each key once.
+///
+///   JsonWriter w(out, 2);
+///   w.begin_object().key("a").value(1.0).key("b").begin_array();
+///   w.value("x").end_array().end_object();
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 0)
+      : out_(out), indent_(indent < 0 ? 0 : indent) {}
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+
+  /// The next member's key; the member's value follows.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& value(std::string_view text);
+  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
+  JsonWriter& value(const std::string& text) {
+    return value(std::string_view(text));
+  }
+  /// Integral values below 1e15 print without a decimal point (%.0f),
+  /// everything else as %.17g — exact for every finite double.
+  JsonWriter& value(double number);
+  /// Through a double, as JsonValue(std::int64_t) stores it.
+  JsonWriter& value(std::int64_t number) {
+    return value(static_cast<double>(number));
+  }
+  JsonWriter& value(bool flag);
+  JsonWriter& null();
+
+ private:
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  /// Separator and indentation before an array element (a member's
+  /// value needs none: key() wrote them).
+  void before_value();
+  void newline(std::size_t depth);
+
+  std::string& out_;
+  int indent_;
+  /// One entry per open container: whether it has items yet.
+  std::vector<bool> has_items_;
+  bool after_key_ = false;
+};
 
 }  // namespace iqb::util

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -69,6 +71,61 @@ TEST_F(CliTest, ParseArgsErrors) {
   EXPECT_FALSE(parse_args({}).args.has_value());
   EXPECT_FALSE(parse_args({"score", "oops"}).args.has_value());
   EXPECT_FALSE(parse_args({"score", "--records"}).args.has_value());
+}
+
+TEST_F(CliTest, ParseOptionsRejectsAFlagInPlaceOfAValue) {
+  const std::vector<std::string> ok{"--a", "1", "--b", "-2"};
+  auto parsed = parse_options(ok);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ((*parsed)[1].key, "b");
+  EXPECT_EQ((*parsed)[1].value, "-2");  // one dash is a value
+
+  const std::vector<std::string> flag_as_value{"--a", "--b", "1"};
+  auto rejected = parse_options(flag_as_value);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().message, "missing value for --a");
+}
+
+TEST_F(CliTest, ScoreNamesTheFlagWhoseValueIsAnotherFlag) {
+  std::string out, err;
+  EXPECT_EQ(run({"score", "--records", records_path_, "--by-isp", "--lenient",
+                 "true"},
+                &out, &err),
+            1);
+  EXPECT_NE(err.find("missing value for --by-isp"), std::string::npos) << err;
+  EXPECT_TRUE(out.empty());
+}
+
+/// Run the iqbd binary with `args`: its exit status, stderr in `err`.
+int run_iqbd(const std::string& args, std::string& err) {
+  const std::string log =
+      (std::filesystem::temp_directory_path() /
+       ("iqb_cli_test_iqbd_" + std::to_string(getpid()) + ".log"))
+          .string();
+  const int status = std::system(
+      (std::string(IQBD_BINARY) + " " + args + " >/dev/null 2>" + log).c_str());
+  std::ifstream in(log);
+  std::stringstream text;
+  text << in.rdbuf();
+  err = text.str();
+  std::remove(log.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(IqbdCommandLine, DaemonNamesTheFlagWhoseValueIsAnotherFlag) {
+  std::string err;
+  EXPECT_EQ(run_iqbd("--records R --by-isp --port 1", err), 1);
+  EXPECT_NE(err.find("missing value for --by-isp"), std::string::npos) << err;
+}
+
+TEST(IqbdCommandLine, CoordinatorNamesTheFlagWhoseValueIsAnotherFlag) {
+  std::string err;
+  EXPECT_EQ(
+      run_iqbd("--coordinator --shards a=127.0.0.1:1 --hedge-ms --port 2", err),
+      1);
+  EXPECT_NE(err.find("missing value for --hedge-ms"), std::string::npos)
+      << err;
 }
 
 TEST_F(CliTest, UnknownCommandFails) {

@@ -228,6 +228,65 @@ TEST_P(CollapsedEquivalenceTest, FactoredEqualsCollapsed) {
 INSTANTIATE_TEST_SUITE_P(RandomTrials, CollapsedEquivalenceTest,
                          ::testing::Range(1, 41));
 
+TEST(BinaryScoreTensor, SetOrderDoesNotChangeTheTensor) {
+  // Names inside and outside the default panel, in no particular order.
+  const std::vector<std::string> names{"ookla", "zeta_lab", "ndt", "alpha",
+                                       "cloudflare", "m-lab 2"};
+  struct Cell {
+    UseCase use_case;
+    Requirement requirement;
+    std::string dataset;
+    bool met;
+  };
+  util::Rng rng(5);
+  std::vector<Cell> cells;
+  for (const std::string& dataset : names) {
+    if (dataset == "zeta_lab") continue;  // never set: absent everywhere
+    for (UseCase use_case : kAllUseCases) {
+      for (Requirement requirement : kAllRequirements) {
+        if (rng.bernoulli(0.6)) {
+          cells.push_back({use_case, requirement, dataset, rng.bernoulli(0.5)});
+        }
+      }
+    }
+  }
+  BinaryScoreTensor forward, backward, shuffled;
+  for (const Cell& cell : cells) {
+    forward.set(cell.use_case, cell.requirement, cell.dataset, cell.met);
+  }
+  for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
+    backward.set(it->use_case, it->requirement, it->dataset, it->met);
+  }
+  std::vector<Cell> order = cells;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  for (const Cell& cell : order) {
+    shuffled.set(cell.use_case, cell.requirement, cell.dataset, !cell.met);
+    shuffled.set(cell.use_case, cell.requirement, cell.dataset, cell.met);
+  }
+
+  const std::vector<std::string> expected{"alpha", "cloudflare", "m-lab 2",
+                                          "ndt", "ookla"};
+  for (const BinaryScoreTensor* tensor : {&forward, &backward, &shuffled}) {
+    EXPECT_EQ(tensor->datasets(), expected);
+    EXPECT_EQ(tensor->size(), cells.size());
+    for (const std::string& dataset : names) {
+      for (UseCase use_case : kAllUseCases) {
+        for (Requirement requirement : kAllRequirements) {
+          EXPECT_EQ(tensor->get(use_case, requirement, dataset),
+                    forward.get(use_case, requirement, dataset));
+        }
+      }
+    }
+  }
+  for (const Cell& cell : cells) {
+    EXPECT_EQ(forward.get(cell.use_case, cell.requirement, cell.dataset),
+              std::optional<bool>(cell.met));
+  }
+}
+
 TEST(Scorer, BinarizeAgainstAggregates) {
   datasets::AggregateTable aggregates;
   auto put = [&aggregates](const std::string& dataset, datasets::Metric metric,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "iqb/datasets/synthetic.hpp"
+#include "iqb/fleet/wire.hpp"
+#include "iqb/util/json.hpp"
 
 namespace iqb::datasets {
 namespace {
@@ -137,6 +142,165 @@ TEST(AggregateTable, RegionsAndDatasets) {
   }
   EXPECT_EQ(table.regions(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(table.datasets(), (std::vector<std::string>{"x", "y"}));
+}
+
+// ---------------- flat table -----------------------------------------
+
+AggregateCell table_cell(const std::string& region, const std::string& dataset,
+                         Metric metric, double value) {
+  AggregateCell cell;
+  cell.region = region;
+  cell.dataset = dataset;
+  cell.metric = metric;
+  cell.value = value;
+  cell.sample_count = 7;
+  return cell;
+}
+
+/// Every cell of `regions` x {cloudflare, ndt, ookla} x kAllMetrics, in
+/// key order, each with a distinct value.
+std::vector<AggregateCell> ordered_cells(std::size_t regions) {
+  std::vector<AggregateCell> cells;
+  for (std::size_t r = 0; r < regions; ++r) {
+    char region[16];
+    std::snprintf(region, sizeof region, "region_%04zu", r);
+    for (const char* dataset : {"cloudflare", "ndt", "ookla"}) {
+      for (Metric metric : kAllMetrics) {
+        cells.push_back(table_cell(region, dataset, metric,
+                                   static_cast<double>(cells.size())));
+      }
+    }
+  }
+  return cells;
+}
+
+void expect_same_cells(const AggregateTable& got, const AggregateTable& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const AggregateCell& a = got.cells()[i];
+    const AggregateCell& b = want.cells()[i];
+    EXPECT_EQ(a.region, b.region);
+    EXPECT_EQ(a.dataset, b.dataset);
+    EXPECT_EQ(a.metric, b.metric);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.sample_count, b.sample_count);
+  }
+}
+
+TEST(AggregateTable, RandomOrderPutsEqualOrderedPuts) {
+  const std::vector<AggregateCell> cells = ordered_cells(40);
+  AggregateTable ordered;
+  for (const AggregateCell& cell : cells) ordered.put(cell);
+
+  std::vector<AggregateCell> shuffled = cells;
+  util::Rng rng(11);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1],
+              shuffled[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  AggregateTable random;
+  for (const AggregateCell& cell : shuffled) random.put(cell);
+
+  expect_same_cells(random, ordered);
+  EXPECT_EQ(random.regions(), ordered.regions());
+  EXPECT_EQ(random.datasets(), ordered.datasets());
+  // Copies and moves of a table that was filled out of order agree too.
+  AggregateTable copy = random;
+  AggregateTable moved = std::move(copy);
+  expect_same_cells(moved, ordered);
+}
+
+TEST(AggregateTable, LastPutWinsOnKeyCollision) {
+  AggregateTable table;
+  table.put(table_cell("a", "ndt", Metric::kDownload, 1.0));
+  table.put(table_cell("a", "ndt", Metric::kDownload, 2.0));  // in order
+  table.put(table_cell("b", "ndt", Metric::kDownload, 3.0));
+  table.put(table_cell("a", "ndt", Metric::kDownload, 4.0));  // out of order
+  table.put(table_cell("a", "ndt", Metric::kDownload, 5.0));  // and again
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.find("a", "ndt", Metric::kDownload)->value, 5.0);
+  EXPECT_EQ(table.find("b", "ndt", Metric::kDownload)->value, 3.0);
+}
+
+TEST(AggregateTable, MergeLetsTheOtherTableWinOverlappingKeys) {
+  // a holds regions 0-3, b regions 2-5: interleaved keys, two overlaps.
+  const std::vector<AggregateCell> cells = ordered_cells(6);
+  const std::size_t per_region = cells.size() / 6;
+  AggregateTable a, b;
+  for (std::size_t i = 0; i < 4 * per_region; ++i) a.put(cells[i]);
+  for (std::size_t i = 2 * per_region; i < cells.size(); ++i) {
+    AggregateCell cell = cells[i];
+    cell.value += 1000.0;
+    b.put(cell);
+  }
+  a.merge(b);
+  ASSERT_EQ(a.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const AggregateCell& merged = a.cells()[i];
+    EXPECT_EQ(merged.region, cells[i].region);
+    EXPECT_EQ(merged.dataset, cells[i].dataset);
+    EXPECT_EQ(merged.metric, cells[i].metric);
+    const double shift = i >= 2 * per_region ? 1000.0 : 0.0;
+    EXPECT_EQ(merged.value, cells[i].value + shift);
+  }
+  EXPECT_EQ(b.size(), 4 * per_region);  // the other table is untouched
+
+  AggregateTable empty;
+  empty.merge(b);
+  expect_same_cells(empty, b);
+  const std::size_t before = a.size();
+  a.merge(AggregateTable{});
+  a.merge(a);
+  EXPECT_EQ(a.size(), before);
+}
+
+TEST(AggregateTable, FindAndRegionCellsOnAbsentKeys) {
+  AggregateTable table;
+  EXPECT_EQ(table.find("a", "ndt", Metric::kLoss), nullptr);
+  EXPECT_TRUE(table.region_cells("a").empty());
+
+  table.put(table_cell("b", "ndt", Metric::kDownload, 1.0));
+  table.put(table_cell("b", "ndt", Metric::kLatency, 2.0));
+  table.put(table_cell("bb", "ndt", Metric::kDownload, 3.0));
+  EXPECT_EQ(table.find("a", "ndt", Metric::kDownload), nullptr);
+  EXPECT_EQ(table.find("b", "ndt", Metric::kLoss), nullptr);
+  EXPECT_EQ(table.find("b", "ookla", Metric::kDownload), nullptr);
+  EXPECT_EQ(table.find("c", "ndt", Metric::kDownload), nullptr);
+  ASSERT_NE(table.find("b", "ndt", Metric::kLatency), nullptr);
+  EXPECT_EQ(table.find("b", "ndt", Metric::kLatency)->value, 2.0);
+  EXPECT_TRUE(table.region_cells("a").empty());
+  EXPECT_TRUE(table.region_cells("c").empty());
+  EXPECT_TRUE(table.region_cells("").empty());
+  // A region is its own run, not a prefix match.
+  EXPECT_EQ(table.region_cells("b").size(), 2u);
+  EXPECT_EQ(table.region_cells("bb").size(), 1u);
+  EXPECT_EQ(table.cells_for_region("b").size(), 2u);
+}
+
+TEST(AggregateTable, ReversedPayloadParsesToTheOrderedTable) {
+  // 280 regions x 3 datasets x 5 metrics = 4,200 cells.
+  fleet::ShardPayload payload;
+  payload.cycle = 3;
+  payload.trace_id = "t";
+  for (const AggregateCell& cell : ordered_cells(280)) payload.table.put(cell);
+  ASSERT_EQ(payload.table.size(), 4200u);
+  const std::string ordered_wire = fleet::serialize_shard_payload(payload);
+
+  auto tree = util::parse_json(ordered_wire);
+  ASSERT_TRUE(tree.ok());
+  util::JsonArray& cells = tree->as_object().at("cells").as_array();
+  std::reverse(cells.begin(), cells.end());
+  const std::string reversed_wire = tree->dump() + "\n";
+  ASSERT_NE(reversed_wire, ordered_wire);
+
+  auto ordered = fleet::parse_shard_payload(ordered_wire);
+  auto reversed = fleet::parse_shard_payload(reversed_wire);
+  ASSERT_TRUE(ordered.ok());
+  ASSERT_TRUE(reversed.ok()) << reversed.error().to_string();
+  expect_same_cells(reversed->table, ordered->table);
+  expect_same_cells(reversed->table, payload.table);
+  EXPECT_EQ(fleet::serialize_shard_payload(reversed.value()), ordered_wire);
 }
 
 // ---------------- synthetic generator --------------------------------
